@@ -1,8 +1,8 @@
 // Sharded ipm_aggd daemon core (see aggd.hpp): epoll IO thread routes
 // frames to per-job FIFO queues executed by a work-stealing pool; per-job
 // state is worker-exclusive (scheduled-flag protocol), the fleet merge
-// folds batches under one narrow mutex, idle jobs spill to disk, and slow
-// clients are disconnected on a bounded stall budget.
+// folds fixed-size chunks under one narrow mutex, idle jobs spill to disk,
+// and slow clients are disconnected on a bounded stall budget.
 #include "ipm_aggd/aggd.hpp"
 
 #include <sys/epoll.h>
@@ -44,6 +44,12 @@ constexpr std::int64_t kInactive = std::numeric_limits<std::int64_t>::max();
 // Cadence for per-job point emission from the worker (live tailing only;
 // terminal paths emit everything pending regardless).
 constexpr std::int64_t kJobEmitMs = 20;
+// Samples a worker stages before folding them into the fleet merger.  A
+// drained job queue can hold hundreds of samples under a closed-loop
+// flood; folding per chunk bounds what each worker holds to this many
+// parsed samples, while still taking fleet_mu_ once per chunk, not per
+// sample.
+constexpr std::size_t kFleetChunk = 16;
 
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -235,7 +241,9 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
     }
   }
   if (st.spilled && any_frame) rehydrate_job(job);
-  FleetBatch fb;
+  // One staging batch per thread (the IO thread in serial mode): it is
+  // empty between calls and keeps only its slots' storage.
+  thread_local FleetBatch fb;
   bool wake = false;
   for (Work& w : batch) {
     if (w.kind == Work::Kind::kSpill) {
@@ -315,7 +323,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake) {
     }
     case FrameType::kSample: {
       RankState& rs = ensure_rank(f.rank);
-      live::Sample s;
+      live::Sample& s = fb.next();
       bool ok = live::parse_sample_line(f.payload, s);
       if (!ok) {
         // Non-canonical form (hand-built frame, older writer): fall back
@@ -328,7 +336,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake) {
         }
       }
       if (ok) {
-        apply_sample(job, f.rank, f.epoch, std::move(s), f.payload, fb);
+        apply_sample(job, f.rank, f.epoch, f.payload, fb);
       } else {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -365,8 +373,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake) {
 }
 
 void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                          live::Sample&& s, const std::string& raw_line,
-                          FleetBatch& fb) {
+                          const std::string& raw_line, FleetBatch& fb) {
   JobState& st = job.st;
   RankState& rs = st.ranks[rank];
   if (epoch <= rs.last_epoch) {  // resend of an applied frame: dedupe
@@ -375,10 +382,19 @@ void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
   }
   rs.last_epoch = epoch;
   rs.samples += 1;
-  if (st.out) st.out << raw_line << '\n';
+  if (st.ended) {
+    // JOB_END released the stream.  A new epoch arriving afterwards is
+    // still appended, as before, without holding an fd for the job again.
+    std::ofstream late(job.ts_path, std::ios::app);
+    late << raw_line << '\n';
+  } else if (st.out) {
+    st.out << raw_line << '\n';
+  }
+  live::Sample& s = fb.next();
   st.merger->add_sample(s);
   s.rank = static_cast<int>(job.fleet_base + rank);
-  fb.add.push_back(std::move(s));
+  fb.n += 1;
+  if (fb.n == kFleetChunk) fold_fleet(fb);
 }
 
 void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
@@ -413,8 +429,11 @@ void Daemon::end_job(Job& job, FleetBatch& fb) {
       st.out << live::point_line(p) << '\n';
     }
     st.out << live::end_line(st.merger->intervals_emitted()) << '\n';
-    st.out.flush();
   }
+  // An ended job keeps its merge state for late frames but not its file:
+  // holding every finished job's stream (buffer plus fd) open would grow
+  // with the number of jobs the daemon has seen.
+  st.out.close();
   st.ended = true;
   jobs_ended_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -435,15 +454,20 @@ void Daemon::emit_due_job(Job& job) {
 
 void Daemon::fold_fleet(FleetBatch& fb) {
   if (fb.empty()) return;
-  const std::lock_guard<std::mutex> lock(fleet_mu_);
-  if (!fb.new_ranks.empty()) fleet_any_ = true;
-  for (const int r : fb.new_ranks) fleet_live_.insert(r);
-  for (const live::Sample& s : fb.add) fleet_.add_sample(s);
-  for (const int r : fb.fin_ranks) {
-    fleet_.finalize_rank(r);
-    fleet_live_.erase(r);
+  {
+    const std::lock_guard<std::mutex> lock(fleet_mu_);
+    if (!fb.new_ranks.empty()) fleet_any_ = true;
+    for (const int r : fb.new_ranks) fleet_live_.insert(r);
+    for (std::size_t i = 0; i < fb.n; ++i) fleet_.add_sample(fb.slots[i]);
+    for (const int r : fb.fin_ranks) {
+      fleet_.finalize_rank(r);
+      fleet_live_.erase(r);
+    }
+    if (!fb.new_ranks.empty() || !fb.fin_ranks.empty()) fleet_live_dirty_ = true;
   }
-  if (!fb.new_ranks.empty() || !fb.fin_ranks.empty()) fleet_live_dirty_ = true;
+  fb.n = 0;
+  fb.new_ranks.clear();
+  fb.fin_ranks.clear();
 }
 
 void Daemon::update_snap(Job& job) {

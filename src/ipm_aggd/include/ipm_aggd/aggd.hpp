@@ -16,7 +16,8 @@
 // scheduled-flag protocol keeps at most one batch per job in flight, so
 // per-job state — the JobMerger, rank epochs, the output stream — is
 // touched by exactly one thread at a time and needs no locks.  Fleet-wide
-// merging folds each batch's samples under one narrow mutex.  Responses
+// merging folds each worker's samples under one narrow mutex, in chunks of
+// at most 16.  A job's JSONL stream is closed at JOB_END.  Responses
 // travel back through per-session outbound buffers with a bounded stall
 // budget (a client that stops reading is disconnected and counted, never
 // blocks the daemon).  Idle jobs spill their state to disk and rehydrate
@@ -235,13 +236,22 @@ class Daemon {
     bool done = false;
   };
 
-  /// Per-batch fleet-merge delta, folded under fleet_mu_ in one step.
+  /// Fleet-merge delta staged by one worker and folded under fleet_mu_ in
+  /// chunks of at most kFleetChunk samples.  The sample slots outlive each
+  /// chunk: a SAMPLE is parsed straight into next(), so parsing reuses
+  /// their storage and a worker holds a bounded number of samples.
   struct FleetBatch {
-    std::vector<live::Sample> add;   ///< samples, rank already composite
-    std::vector<int> new_ranks;      ///< composite ranks first seen
-    std::vector<int> fin_ranks;      ///< composite ranks finalized
+    std::vector<live::Sample> slots;  ///< [0, n) staged, rank composite
+    std::size_t n = 0;
+    std::vector<int> new_ranks;       ///< composite ranks first seen
+    std::vector<int> fin_ranks;       ///< composite ranks finalized
+    /// The first unstaged slot; stage it with `n += 1`.
+    live::Sample& next() {
+      if (n == slots.size()) slots.emplace_back();
+      return slots[n];
+    }
     [[nodiscard]] bool empty() const {
-      return add.empty() && new_ranks.empty() && fin_ranks.empty();
+      return n == 0 && new_ranks.empty() && fin_ranks.empty();
     }
   };
 
@@ -267,13 +277,15 @@ class Daemon {
   void process_job(Job* job);
   void handle_batch(Job& job, std::deque<Work>& batch);
   void handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake);
+  /// Apply the sample parsed into fb.next() (unless `epoch` is a resend)
+  /// and stage it for the fleet merger.
   void apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                    live::Sample&& s, const std::string& raw_line,
-                    FleetBatch& fb);
+                    const std::string& raw_line, FleetBatch& fb);
   void finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
                      const std::string& payload, FleetBatch& fb);
   void end_job(Job& job, FleetBatch& fb);
   void emit_due_job(Job& job);
+  /// Fold everything staged in `fb` into the fleet merger and reset it.
   void fold_fleet(FleetBatch& fb);
   void update_snap(Job& job);
   void spill_job(Job& job);

@@ -304,7 +304,9 @@ struct TimeSeries {
 
 [[nodiscard]] TimeSeries read_timeseries_file(const std::string& path);
 
-/// Serialization used by the collector (exposed for tests).
+/// Serialization used by the collector (exposed for tests).  Doubles are
+/// written as printf's "%.17g" writes them (so they round-trip bit-exactly)
+/// and integers in plain decimal.
 [[nodiscard]] std::string timeseries_header_line(const std::string& command,
                                                  double interval);
 [[nodiscard]] std::string sample_line(const Sample& s);
@@ -321,9 +323,11 @@ bool parse_timeseries_line(const std::string& line, TimeSeries& ts);
 /// Fast single-pass parse of a canonical sample_line() record into `out`.
 /// Strict: accepts exactly the field order sample_line() emits (the hot
 /// ingest path of the aggregation daemon parses millions of these) and
-/// round-trips every field bit-exactly.  Returns false — with `out` in an
-/// unspecified state — on any deviation; callers then fall back to the
-/// generic parse_timeseries_line().
+/// round-trips every field bit-exactly.  Overwrites every field of `out`
+/// but reuses its region and delta storage, so parsing into the same
+/// Sample again does not allocate for a line of the same shape.  Returns
+/// false — with `out` in an unspecified state — on any deviation; callers
+/// then fall back to the generic parse_timeseries_line().
 [[nodiscard]] bool parse_sample_line(std::string_view line, Sample& out);
 
 /// Estimated flops of ONE call with this event name and per-call operand

@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ipm_live/live.hpp"
@@ -35,6 +36,15 @@ struct MergeTotals {
   std::uint64_t mpi_bytes = 0, cuda_bytes = 0;
   std::uint64_t events = 0, samples = 0;
 };
+
+/// Derived-metric family of a delta name, as name_in_family() decides it
+/// for "MPI", "CUDA", "GPU", "IDLE", "CUBLAS" and "CUFFT".  The families
+/// are disjoint, so at most one flag is set.
+struct Classified {
+  bool mpi, cuda, gpu, idle, blas, fft;
+};
+
+[[nodiscard]] Classified classify(std::string_view name);
 
 class JobMerger {
  public:

@@ -3,6 +3,7 @@
 #include "ipm_live/merge.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,21 +16,27 @@
 
 namespace ipm::live {
 
-namespace {
-
-struct Classified {
-  bool mpi, cuda, gpu, idle, blas, fft;
-};
-
-Classified classify(const std::string& name) {
-  return Classified{
-      name_in_family(name, "MPI"),  name_in_family(name, "CUDA"),
-      name_in_family(name, "GPU"),  name_in_family(name, "IDLE"),
-      name_in_family(name, "CUBLAS"), name_in_family(name, "CUFFT"),
-  };
+Classified classify(std::string_view name) {
+  Classified c{};
+  if (name.starts_with("cu")) {
+    if (name.starts_with("cublas")) {
+      c.blas = true;
+    } else if (name.starts_with("cufft")) {
+      c.fft = true;
+    } else {
+      c.cuda = name.starts_with("cuda") ||
+               (name.size() > 2 &&
+                std::isupper(static_cast<unsigned char>(name[2])) != 0);
+    }
+  } else if (name.starts_with("MPI_")) {
+    c.mpi = true;
+  } else if (name.starts_with("@CUDA_EXEC")) {
+    c.gpu = true;
+  } else if (name.starts_with("@CUDA_HOST_IDLE")) {
+    c.idle = true;
+  }
+  return c;
 }
-
-}  // namespace
 
 void JobMerger::add_sample(const Sample& s) {
   std::uint64_t k =

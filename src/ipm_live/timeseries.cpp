@@ -18,9 +18,9 @@ namespace ipm::live {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// Append `s` JSON-escaped to `out`.
+void put_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (const char ch : s) {
     switch (ch) {
       case '"': out += "\\\""; break;
@@ -30,13 +30,36 @@ std::string json_escape(const std::string& s) {
       case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(ch) < 0x20) {
-          out += simx::strprintf("\\u%04x", ch);
+          const auto u = static_cast<unsigned char>(ch);
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
         } else {
           out += ch;
         }
     }
   }
-  return out;
+}
+
+/// Append the literal `prefix` (e.g. `,"t0":`), then `v` as printf's
+/// "%.17g" prints it: to_chars with chars_format::general and precision 17
+/// is specified to give the same bytes, without printf's format parsing
+/// and its second sizing pass.
+void put_dbl(std::string& out, std::string_view prefix, double v) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  out += prefix;
+  out.append(buf, r.ptr);
+}
+
+/// Append the literal `prefix`, then the integer `v` in decimal.
+template <class Int>
+void put_int(std::string& out, std::string_view prefix, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out += prefix;
+  out.append(buf, r.ptr);
 }
 
 std::string json_unescape(std::string_view s) {
@@ -181,35 +204,43 @@ std::string timeseries_path(const Config& cfg) {
 }
 
 std::string timeseries_header_line(const std::string& command, double interval) {
-  return simx::strprintf("{\"ipm_timeseries\":1,\"command\":\"%s\",\"interval\":%.17g}",
-                         json_escape(command).c_str(), interval);
+  std::string out = "{\"ipm_timeseries\":1,\"command\":\"";
+  put_escaped(out, command);
+  put_dbl(out, "\",\"interval\":", interval);
+  out += '}';
+  return out;
 }
 
 std::string sample_line(const Sample& s) {
-  std::string out = simx::strprintf(
-      "{\"type\":\"sample\",\"rank\":%d,\"seq\":%llu,\"t0\":%.17g,\"t1\":%.17g,"
-      "\"final\":%d",
-      s.rank, static_cast<unsigned long long>(s.seq), s.t0, s.t1,
-      s.final_flush ? 1 : 0);
-  if (s.ddev_flops != 0.0) out += simx::strprintf(",\"gf\":%.17g", s.ddev_flops);
-  if (s.ddev_bytes != 0.0) out += simx::strprintf(",\"gb\":%.17g", s.ddev_bytes);
+  std::string out;
+  // ~75 bytes of fixed fields, ~85 per delta with its name.
+  out.reserve(96 + 24 * s.regions.size() + 96 * s.deltas.size());
+  put_int(out, "{\"type\":\"sample\",\"rank\":", s.rank);
+  put_int(out, ",\"seq\":", s.seq);
+  put_dbl(out, ",\"t0\":", s.t0);
+  put_dbl(out, ",\"t1\":", s.t1);
+  put_int(out, ",\"final\":", s.final_flush ? 1 : 0);
+  if (s.ddev_flops != 0.0) put_dbl(out, ",\"gf\":", s.ddev_flops);
+  if (s.ddev_bytes != 0.0) put_dbl(out, ",\"gb\":", s.ddev_bytes);
   out += ",\"regions\":[";
   for (std::size_t i = 0; i < s.regions.size(); ++i) {
     if (i != 0) out += ',';
     out += '"';
-    out += json_escape(s.regions[i]);
+    put_escaped(out, s.regions[i]);
     out += '"';
   }
   out += "],\"deltas\":[";
   for (std::size_t i = 0; i < s.deltas.size(); ++i) {
     const KeyDelta& d = s.deltas[i];
     if (i != 0) out += ',';
-    out += simx::strprintf(
-        "{\"n\":\"%s\",\"r\":%u,\"s\":%d,\"c\":%llu,\"b\":%llu,\"t\":%.17g",
-        json_escape(delta_name(d)).c_str(), d.region, d.select,
-        static_cast<unsigned long long>(d.dcount),
-        static_cast<unsigned long long>(d.dbytes), d.dtsum);
-    if (d.dflops != 0.0) out += simx::strprintf(",\"f\":%.17g", d.dflops);
+    out += "{\"n\":\"";
+    put_escaped(out, delta_name(d));
+    put_int(out, "\",\"r\":", d.region);
+    put_int(out, ",\"s\":", d.select);
+    put_int(out, ",\"c\":", d.dcount);
+    put_int(out, ",\"b\":", d.dbytes);
+    put_dbl(out, ",\"t\":", d.dtsum);
+    if (d.dflops != 0.0) put_dbl(out, ",\"f\":", d.dflops);
     out += '}';
   }
   out += "]}";
@@ -217,33 +248,43 @@ std::string sample_line(const Sample& s) {
 }
 
 std::string point_line(const ClusterPoint& p) {
-  std::string out = simx::strprintf(
-      "{\"type\":\"point\",\"k\":%llu,\"t0\":%.17g,\"t1\":%.17g,\"ranks\":%d,"
-      "\"ranks_live\":%d,\"samples\":%llu,\"devents\":%llu,"
-      "\"mpi_s\":%.17g,\"cuda_s\":%.17g,\"gpu_s\":%.17g,\"idle_s\":%.17g,"
-      "\"blas_s\":%.17g,\"fft_s\":%.17g,\"mpi_bytes\":%llu,\"cuda_bytes\":%llu,"
-      "\"flops\":%.17g",
-      static_cast<unsigned long long>(p.k), p.t0, p.t1, p.ranks, p.ranks_live,
-      static_cast<unsigned long long>(p.samples),
-      static_cast<unsigned long long>(p.devents), p.mpi_s, p.cuda_s, p.gpu_s,
-      p.idle_s, p.blas_s, p.fft_s, static_cast<unsigned long long>(p.mpi_bytes),
-      static_cast<unsigned long long>(p.cuda_bytes), p.flops);
-  if (p.dev_flops != 0.0) out += simx::strprintf(",\"devflops\":%.17g", p.dev_flops);
-  if (p.dev_bytes != 0.0) out += simx::strprintf(",\"devbytes\":%.17g", p.dev_bytes);
+  std::string out;
+  out.reserve(512 + 48 * p.region_flops.size());
+  put_int(out, "{\"type\":\"point\",\"k\":", p.k);
+  put_dbl(out, ",\"t0\":", p.t0);
+  put_dbl(out, ",\"t1\":", p.t1);
+  put_int(out, ",\"ranks\":", p.ranks);
+  put_int(out, ",\"ranks_live\":", p.ranks_live);
+  put_int(out, ",\"samples\":", p.samples);
+  put_int(out, ",\"devents\":", p.devents);
+  put_dbl(out, ",\"mpi_s\":", p.mpi_s);
+  put_dbl(out, ",\"cuda_s\":", p.cuda_s);
+  put_dbl(out, ",\"gpu_s\":", p.gpu_s);
+  put_dbl(out, ",\"idle_s\":", p.idle_s);
+  put_dbl(out, ",\"blas_s\":", p.blas_s);
+  put_dbl(out, ",\"fft_s\":", p.fft_s);
+  put_int(out, ",\"mpi_bytes\":", p.mpi_bytes);
+  put_int(out, ",\"cuda_bytes\":", p.cuda_bytes);
+  put_dbl(out, ",\"flops\":", p.flops);
+  if (p.dev_flops != 0.0) put_dbl(out, ",\"devflops\":", p.dev_flops);
+  if (p.dev_bytes != 0.0) put_dbl(out, ",\"devbytes\":", p.dev_bytes);
   out += ",\"regions\":[";
   for (std::size_t i = 0; i < p.region_flops.size(); ++i) {
     if (i != 0) out += ',';
-    out += simx::strprintf("{\"name\":\"%s\",\"flops\":%.17g}",
-                           json_escape(p.region_flops[i].first).c_str(),
-                           p.region_flops[i].second);
+    out += "{\"name\":\"";
+    put_escaped(out, p.region_flops[i].first);
+    put_dbl(out, "\",\"flops\":", p.region_flops[i].second);
+    out += '}';
   }
   out += "]}";
   return out;
 }
 
 std::string end_line(std::uint64_t intervals) {
-  return simx::strprintf("{\"type\":\"end\",\"intervals\":%llu}",
-                         static_cast<unsigned long long>(intervals));
+  std::string out;
+  put_int(out, "{\"type\":\"end\",\"intervals\":", intervals);
+  out += '}';
+  return out;
 }
 
 bool parse_timeseries_line(const std::string& line, TimeSeries& ts) {
@@ -351,12 +392,22 @@ bool parse_sample_line(std::string_view line, Sample& out) {
     }
     if (p >= end) return false;
     const std::string_view body(start, static_cast<std::size_t>(p - start));
-    s = escaped ? json_unescape(body) : std::string(body);
+    if (escaped) {
+      s = json_unescape(body);
+    } else {
+      s.assign(body);
+    }
     ++p;
     return true;
   };
 
-  out = Sample{};
+  // Every field is overwritten below, and the region and delta slots
+  // (with their strings) are reused, so a caller that parses into the
+  // same Sample again allocates nothing for a same-shaped line.
+  out.rank = 0;
+  out.seq = 0;
+  out.t0 = out.t1 = 0.0;
+  out.ddev_flops = out.ddev_bytes = 0.0;
   int final_flag = 0;
   if (!lit("{\"type\":\"sample\",\"rank\":") || !parse_int(out.rank) ||
       !lit(",\"seq\":") || !parse_int(out.seq) || !lit(",\"t0\":") ||
@@ -368,32 +419,35 @@ bool parse_sample_line(std::string_view line, Sample& out) {
   if (lit(",\"gf\":") && !parse_dbl(out.ddev_flops)) return false;
   if (lit(",\"gb\":") && !parse_dbl(out.ddev_bytes)) return false;
   if (!lit(",\"regions\":[")) return false;
+  std::size_t n = 0;
   if (p < end && *p != ']') {
     for (;;) {
-      std::string region;
-      if (!parse_str(region)) return false;
-      out.regions.push_back(std::move(region));
+      if (n == out.regions.size()) out.regions.emplace_back();
+      if (!parse_str(out.regions[n++])) return false;
       if (!lit(",")) break;
     }
   }
+  out.regions.resize(n);
   if (!lit("],\"deltas\":[")) return false;
+  n = 0;
   if (p < end && *p != ']') {
     for (;;) {
-      KeyDelta d;
-      std::int32_t sel = 0;
+      if (n == out.deltas.size()) out.deltas.emplace_back();
+      KeyDelta& d = out.deltas[n++];
+      d.name = 0;
+      d.dflops = 0.0;
       if (!lit("{\"n\":") || !parse_str(d.name_str) || !lit(",\"r\":") ||
-          !parse_int(d.region) || !lit(",\"s\":") || !parse_int(sel) ||
+          !parse_int(d.region) || !lit(",\"s\":") || !parse_int(d.select) ||
           !lit(",\"c\":") || !parse_int(d.dcount) || !lit(",\"b\":") ||
           !parse_int(d.dbytes) || !lit(",\"t\":") || !parse_dbl(d.dtsum)) {
         return false;
       }
-      d.select = sel;
       if (lit(",\"f\":") && !parse_dbl(d.dflops)) return false;
       if (!lit("}")) return false;
-      out.deltas.push_back(std::move(d));
       if (!lit(",")) break;
     }
   }
+  out.deltas.resize(n);
   return lit("]}") && p == end;
 }
 

@@ -25,6 +25,7 @@
 #include "ipm_live/live.hpp"
 #include "ipm_live/net.hpp"
 #include "ipm_live/wire.hpp"
+#include "support/test_tmp.hpp"
 
 namespace aggd_test {
 
@@ -128,7 +129,7 @@ struct DaemonRunner {
 };
 
 inline std::string test_dir(const std::string& leaf) {
-  const std::string dir = ::testing::TempDir() + "/" + leaf;
+  const std::string dir = ipm_test::test_tmp() + "/" + leaf;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

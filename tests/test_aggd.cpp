@@ -256,6 +256,81 @@ TEST(Aggd, TruncatedAndCorruptFramesRejected) {
 /// Two concurrent jobs multiplexed into one daemon, with a mid-stream
 /// reconnect on one of them: per-job separation (files, merge, prom
 /// labels), epoch resume via WELCOME, and duplicate resends deduplicated.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// JOB_END releases the job's JSONL stream, so the daemon's open fds do not
+/// grow with the number of jobs it has seen end.  A frame that still
+/// arrives for an ended job keeps its outcome: an applied epoch is deduped,
+/// and a new epoch is appended to the job's file.
+TEST(Aggd, EndedJobsReleaseTheirStreams) {
+  const std::string dir = test_dir("aggd_ended_fds");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  Decoder dec;
+  Frame f;
+  const auto run_job = [&](const std::string& job) {
+    send_all(fd, frame_bytes(FrameType::kHello, job, 0, 0,
+                             ipm::live::wire::hello_payload("./" + job, 0.5)));
+    send_all(fd, sample_bytes(job, make_sample(0, 0, 0.0, 0.5, "MPI_Send", 1,
+                                               8, 0.25)));
+    send_all(fd, frame_bytes(FrameType::kRankFin, job, 0, 2,
+                             R"({"samples":1,"drops":0})"));
+    send_all(fd, frame_bytes(FrameType::kJobEnd, job, 0, 0, ""));
+    bool ended = false;
+    while (!ended && read_frame(fd, dec, f)) {
+      ended = f.type == FrameType::kJobEndAck;
+    }
+    ASSERT_TRUE(ended) << job;
+  };
+  for (int i = 0; i < 4; ++i) run_job("warm" + std::to_string(i));
+  const std::size_t fds_before = open_fds();
+  for (int i = 0; i < 48; ++i) run_job("job" + std::to_string(i));
+  // Slack for the exposition writer's temporary file.
+  EXPECT_LE(open_fds(), fds_before + 1);
+
+  // Late frames for the ended job "job0": a resend, then a new epoch.
+  const ipm::live::Sample late = make_sample(0, 2, 1.0, 1.5, "MPI_Send", 3, 24, 0.5);
+  send_all(fd, sample_bytes("job0", make_sample(0, 0, 0.0, 0.5, "MPI_Send", 1, 8,
+                                                0.25)));
+  send_all(fd, sample_bytes("job0", late));
+  std::uint64_t acked = 0;
+  while (acked < 3 && read_frame(fd, dec, f)) {
+    ASSERT_EQ(f.type, FrameType::kAck);
+    acked = f.epoch;
+  }
+  EXPECT_EQ(acked, 3u);
+  EXPECT_LE(open_fds(), fds_before + 1);
+  runner.d.stop();
+  runner.join();
+  ipm::live::net::close_fd(fd);
+
+  const auto* ranks = runner.d.job_ranks("job0");
+  ASSERT_NE(ranks, nullptr);
+  EXPECT_EQ(ranks->at(0).samples, 2u);
+  EXPECT_EQ(ranks->at(0).resent, 1u);
+  const std::string text = slurp(runner.d.job_timeseries_path("job0"));
+  const std::string tail = ipm::live::sample_line(late) + "\n";
+  ASSERT_GE(text.size(), tail.size());
+  EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+  EXPECT_NE(text.find("{\"type\":\"end\""), std::string::npos);
+  EXPECT_EQ(ipm::live::read_timeseries_file(runner.d.job_timeseries_path("job1"))
+                .samples.size(),
+            1u);
+}
+
 TEST(Aggd, TwoConcurrentJobsStaySeparate) {
   const std::string dir = test_dir("aggd_twojobs");
   const std::string sock = "unix:" + dir + "/agg.sock";

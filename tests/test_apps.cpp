@@ -4,17 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <set>
+#include <string>
 
 #include "apps/amber.hpp"
 #include "apps/hpl.hpp"
 #include "apps/paratec.hpp"
 #include "apps/sdk_suite.hpp"
 #include "ipm/monitor.hpp"
+#include "ipm_live/merge.hpp"
 #include "cudasim/control.hpp"
 #include "hostblas/blas.hpp"
 #include "mpisim/cluster.hpp"
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
+#include "spec.hpp"
 
 namespace {
 
@@ -160,6 +164,69 @@ TEST_F(AppsTest, AppsAreVirtualTimeDeterministic) {
     return r.wallclock;
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+/// The live merger's one-pass classifier must put every name the sim apps
+/// and the generated wrappers register in the family name_in_family()
+/// gives it, failed-call [ERR=...] keys included.
+TEST_F(AppsTest, MergeClassifierAgreesWithNameInFamily) {
+  std::set<std::string> names = {
+      "",           "c",          "cu",         "cuX",         "cux",
+      "cublas",     "cufft",      "cufftPlan1d", "cudaMalloc", "cuda",
+      "MPI",        "MPI_",       "mpi_Send",   "@CUDA_EXEC",  "@CUDA_EXEC:k",
+      "@CUDA_EXEC_STRM00", "@CUDA_HOST_IDLE", "@CUDA_HOST", "@CUDA",
+      "cudaMemcpy[ERR=cudaErrorInvalidValue]", "MPI_Send[ERR=MPI_ERR_RANK]",
+      "cublasDgemm[ERR=cublasStatusExecutionFailed]"};
+  for (const char* spec : {"cublas", "cuda_driver", "cuda_runtime", "cufft", "mpi"}) {
+    const wrapgen::SpecFile f = wrapgen::parse_spec_file(
+        std::string(IPM_SOURCE_DIR) + "/src/wrapgen/specs/" + spec + ".spec");
+    ASSERT_FALSE(f.calls.empty()) << spec;
+    for (const wrapgen::CallSpec& c : f.calls) {
+      names.insert(c.name);
+      names.insert(c.name + "[ERR=x]");
+    }
+  }
+  // Names registered at run time: kernels (@CUDA_EXEC:<kernel>), host idle,
+  // CUBLAS and CUFFT calls of the mini-apps.
+  ipm::job_begin(ipm::Config{}, "./classify");
+  MPI_Init(nullptr, nullptr);
+  apps::amber::Config amber;
+  amber.timesteps = 10;
+  (void)apps::amber::run_rank(amber);
+  apps::hpl::Config hpl;
+  hpl.n = 128;
+  hpl.nb = 32;
+  hpl.backend = apps::hpl::Backend::kCublas;
+  (void)apps::hpl::run_rank(hpl);
+  apps::paratec::Config paratec;
+  paratec.n_g = 64;
+  paratec.n_bands = 64;
+  paratec.nb = 32;
+  paratec.iterations = 1;
+  (void)apps::paratec::run_rank(paratec);
+  MPI_Finalize();
+  const ipm::JobProfile job = ipm::job_end();
+  std::size_t registered = 0;
+  for (const ipm::RankProfile& r : job.ranks) {
+    for (const ipm::EventRecord& e : r.events) {
+      names.insert(e.name);
+      ++registered;
+    }
+  }
+  ASSERT_GT(registered, 40u);
+  int per_family[6] = {};
+  for (const std::string& n : names) {
+    const ipm::live::Classified c = ipm::live::classify(n);
+    const bool flags[6] = {c.mpi, c.cuda, c.gpu, c.idle, c.blas, c.fft};
+    for (int i = 0; i < 6; ++i) per_family[i] += flags[i] ? 1 : 0;
+    EXPECT_EQ(c.mpi, ipm::name_in_family(n, "MPI")) << n;
+    EXPECT_EQ(c.cuda, ipm::name_in_family(n, "CUDA")) << n;
+    EXPECT_EQ(c.gpu, ipm::name_in_family(n, "GPU")) << n;
+    EXPECT_EQ(c.idle, ipm::name_in_family(n, "IDLE")) << n;
+    EXPECT_EQ(c.blas, ipm::name_in_family(n, "CUBLAS")) << n;
+    EXPECT_EQ(c.fft, ipm::name_in_family(n, "CUFFT")) << n;
+  }
+  for (const int n : per_family) EXPECT_GT(n, 0);
 }
 
 }  // namespace

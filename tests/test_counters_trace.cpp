@@ -15,6 +15,7 @@
 #include "ipm/monitor.hpp"
 #include "ipm/trace.hpp"
 #include "simcommon/clock.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -93,7 +94,7 @@ TEST_F(CountersTest, ChromeTraceIsStructurallySound) {
   ASSERT_EQ(cusim::launch_timed(def, dim3(1), dim3(32)), cudaSuccess);
   cudaMemcpy(h, dev, 1024, cudaMemcpyDeviceToHost);
   cudaFree(dev);
-  const std::string path = ::testing::TempDir() + "/trace.json";
+  const std::string path = ipm_test::test_tmp() + "/trace.json";
   cusim::write_chrome_trace(path);
   cusim::set_profiling(false);
   std::ifstream in(path);
@@ -132,7 +133,7 @@ TEST_F(CountersTest, IpmKernelSpansAlignWithGroundTruthProfile) {
   ipm::Config cfg;
   cfg.trace = true;
   cfg.trace_log2_records = 12;
-  cfg.trace_path = ::testing::TempDir() + "/align_trace";
+  cfg.trace_path = ipm_test::test_tmp() + "/align_trace";
   ipm::job_begin(cfg, "./align");
   cusim::set_profiling(true);
 

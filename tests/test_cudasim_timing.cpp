@@ -14,6 +14,7 @@
 #include "cudasim/kernel.hpp"
 #include "simcommon/clock.hpp"
 #include "simcommon/noise.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -295,7 +296,7 @@ TEST_F(CudaTimingTest, ProfileLogFileFormat) {
   static const cusim::KernelDef kK = fixed_kernel("logfmt_kernel", 0.001);
   cusim::set_profiling(true);
   ASSERT_EQ(cusim::launch_timed(kK, dim3(1), dim3(32)), cudaSuccess);
-  const std::string path = ::testing::TempDir() + "/cuda_profile.log";
+  const std::string path = ipm_test::test_tmp() + "/cuda_profile.log";
   cusim::write_profile_log(path);
   cusim::set_profiling(false);
   std::ifstream in(path);

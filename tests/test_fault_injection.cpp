@@ -31,6 +31,7 @@
 #include "mpisim/cluster.hpp"
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -261,7 +262,7 @@ TEST_F(FaultInjectionTest, TraceTagsFailedCallsWithTheErrorCode) {
   ipm::Config cfg;
   cfg.trace = true;
   cfg.trace_log2_records = 10;
-  cfg.trace_path = ::testing::TempDir() + "/fault_trace";
+  cfg.trace_path = ipm_test::test_tmp() + "/fault_trace";
   ipm::job_begin(cfg, "./faults_trace");
   faultsim::configure("cudaMemcpy:inval@2");
   void* dev = nullptr;

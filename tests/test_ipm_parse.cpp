@@ -19,6 +19,7 @@
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
 #include "simcommon/xml.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -149,7 +150,7 @@ TEST(IpmParse, CubeExportIsWellFormedAndComplete) {
 
 TEST(IpmParse, FileRoundTripViaDisk) {
   const ipm::JobProfile job = make_job();
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ipm_test::test_tmp();
   const std::string xml_path = dir + "/profile.xml";
   ipm::write_xml_file(xml_path, job);
   const ipm::JobProfile back = ipm::parse_xml_file(xml_path);
@@ -209,7 +210,7 @@ TEST(IpmParseCli, NoInputPrintsUsage) {
 
 TEST(IpmParseCli, BannerRoundTripsThroughTheBinary) {
   const ipm::JobProfile job = make_job();
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ipm_test::test_tmp();
   const std::string xml_path = dir + "/cli_profile.xml";
   ipm::write_xml_file(xml_path, job);
   std::string out;

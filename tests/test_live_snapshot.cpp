@@ -31,6 +31,7 @@
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
 #include "simcommon/rng.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -173,7 +174,7 @@ TEST(LiveSnapshot, InMemoryDeltaConservation) {
   simx::reset_default_context();
   ipm::Config cfg;
   cfg.snapshot_interval = 0.25;
-  cfg.timeseries_path = ::testing::TempDir() + "/live_mem_timeseries.jsonl";
+  cfg.timeseries_path = ipm_test::test_tmp() + "/live_mem_timeseries.jsonl";
   ipm::job_begin(cfg, "./live_mem");
   // Consume the channel manually: the collector is stopped so drain() is
   // the only consumer (SPSC).
@@ -217,7 +218,7 @@ TEST(LiveSnapshot, FullChannelDropsAreCoalescedNotLost) {
   ipm::Config cfg;
   cfg.snapshot_interval = 1e6;        // due-check never fires on its own
   cfg.snapshot_log2_samples = 2;      // 4-slot channel: drops are certain
-  cfg.timeseries_path = ::testing::TempDir() + "/live_drop_timeseries.jsonl";
+  cfg.timeseries_path = ipm_test::test_tmp() + "/live_drop_timeseries.jsonl";
   ipm::job_begin(cfg, "./live_drop");
   ipm::live::collector_stop();
   ipm::Monitor* mon = ipm::monitor();
@@ -251,7 +252,7 @@ TEST(LiveSnapshot, DropAccountingReachesProfileAndXml) {
   ipm::Config cfg;
   cfg.snapshot_interval = 1e6;
   cfg.snapshot_log2_samples = 2;
-  cfg.timeseries_path = ::testing::TempDir() + "/live_acct_timeseries.jsonl";
+  cfg.timeseries_path = ipm_test::test_tmp() + "/live_acct_timeseries.jsonl";
   ipm::job_begin(cfg, "./live_acct");
   ipm::live::collector_stop();
   mpisim::ClusterConfig cluster;
@@ -289,8 +290,8 @@ TEST(LiveSnapshot, DropAccountingReachesProfileAndXml) {
 
 TEST(LiveSnapshot, ClusterJsonlConservation) {
   simx::reset_default_context();
-  const std::string ts_path = ::testing::TempDir() + "/live_cluster_timeseries.jsonl";
-  const std::string prom_path = ::testing::TempDir() + "/live_cluster_metrics.prom";
+  const std::string ts_path = ipm_test::test_tmp() + "/live_cluster_timeseries.jsonl";
+  const std::string prom_path = ipm_test::test_tmp() + "/live_cluster_metrics.prom";
   ipm::Config cfg;
   cfg.snapshot_interval = 0.5;
   cfg.timeseries_path = ts_path;
@@ -383,7 +384,7 @@ TEST(LiveSnapshot, TimeseriesLinesRoundTripThroughFile) {
   pt.flops = 1e9;
   pt.region_flops = {{"ipm_global", 1e9}};
 
-  const std::string path = ::testing::TempDir() + "/live_roundtrip.jsonl";
+  const std::string path = ipm_test::test_tmp() + "/live_roundtrip.jsonl";
   {
     std::ofstream out(path, std::ios::trunc);
     out << ipm::live::timeseries_header_line("./rt \"app\"", 0.5) << "\n";
@@ -450,7 +451,7 @@ TEST(LiveSnapshot, AdaptiveCadenceWidensUnderPressureAndRecovers) {
   ipm::Config cfg;
   cfg.snapshot_interval = 0.25;
   cfg.snapshot_log2_samples = 2;  // 4-slot channel: pressure is certain
-  cfg.timeseries_path = ::testing::TempDir() + "/live_adaptive_timeseries.jsonl";
+  cfg.timeseries_path = ipm_test::test_tmp() + "/live_adaptive_timeseries.jsonl";
   ipm::job_begin(cfg, "./live_adaptive");
   ipm::live::collector_stop();
   ipm::Monitor* mon = ipm::monitor();
@@ -509,7 +510,7 @@ TEST(LiveSnapshot, DeviceCounterGroundTruthMatchesFlopsEstimate) {
   cusim::reset();
   ipm::Config cfg;
   cfg.snapshot_interval = 0.25;
-  cfg.timeseries_path = ::testing::TempDir() + "/live_dev_timeseries.jsonl";
+  cfg.timeseries_path = ipm_test::test_tmp() + "/live_dev_timeseries.jsonl";
   ipm::job_begin(cfg, "./live_dev");
   ipm::live::collector_stop();
   ipm::Monitor* mon = ipm::monitor();

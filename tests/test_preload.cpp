@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <string>
 
+#include "support/test_tmp.hpp"
+
 namespace {
 
 /// Run a shell command, capture combined stdout+stderr, return exit code.
@@ -56,7 +58,7 @@ TEST(Preload, EnvironmentControlsReporting) {
   EXPECT_EQ(rc, 0) << out;
   EXPECT_EQ(out.find("##IPMv2.0"), std::string::npos) << out;
   // XML log request via environment.
-  const std::string log = ::testing::TempDir() + "/preload_profile.xml";
+  const std::string log = ipm_test::test_tmp() + "/preload_profile.xml";
   std::remove(log.c_str());
   const int rc2 = run_capture("IPM_REPORT=none IPM_LOG=" + log + " LD_PRELOAD=" +
                                   kPreload + " " + kDemo,

@@ -19,6 +19,7 @@
 #include "mpisim/cluster.hpp"
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -61,8 +62,8 @@ class ChromeTraceTest : public ::testing::Test {
     ipm::Config cfg;
     cfg.trace = true;
     cfg.trace_log2_records = 12;
-    cfg.trace_path = ::testing::TempDir() + "/chrome_trace";
-    cfg.log_path = ::testing::TempDir() + "/chrome_profile.xml";
+    cfg.trace_path = ipm_test::test_tmp() + "/chrome_trace";
+    cfg.log_path = ipm_test::test_tmp() + "/chrome_profile.xml";
     ipm::job_begin(cfg, "./chrome");
     mpisim::ClusterConfig cluster;
     cluster.ranks = kRanks;
@@ -72,6 +73,12 @@ class ChromeTraceTest : public ::testing::Test {
     ipm::write_xml_file(cfg.log_path, *job_);
     traces_ = new std::vector<ipm::RankTrace>(
         ipm_parse::load_job_traces(ipm::parse_xml_file(cfg.log_path), ""));
+  }
+  void SetUp() override {
+    // A failed SetUpTestSuite leaves the statics null: fail the test
+    // instead of dereferencing them.
+    ASSERT_NE(job_, nullptr) << "SetUpTestSuite did not produce a profile";
+    ASSERT_NE(traces_, nullptr) << "SetUpTestSuite did not load the traces";
   }
   static void TearDownTestSuite() {
     delete job_;

@@ -17,6 +17,7 @@
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
 #include "simcommon/str.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -99,7 +100,7 @@ TEST(TraceConcurrency, PerRankRingsNeverInterleave) {
   ipm::Config cfg;
   cfg.trace = true;
   cfg.trace_log2_records = 10;
-  cfg.trace_path = ::testing::TempDir() + "/isolation_trace";
+  cfg.trace_path = ipm_test::test_tmp() + "/isolation_trace";
   ipm::job_begin(cfg, "./isolation");
   mpisim::ClusterConfig cluster;
   cluster.ranks = kRanks;

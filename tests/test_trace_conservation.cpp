@@ -18,6 +18,7 @@
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
 #include "simcommon/rng.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -102,7 +103,7 @@ TEST(TraceConservation, RingConservesHashTableBitExactly) {
   ipm::Config cfg;
   cfg.trace = true;
   cfg.trace_log2_records = 14;
-  cfg.trace_path = ::testing::TempDir() + "/conserve_trace";
+  cfg.trace_path = ipm_test::test_tmp() + "/conserve_trace";
   ipm::job_begin(cfg, "./conservation");
   mpisim::ClusterConfig cluster;
   cluster.ranks = 4;

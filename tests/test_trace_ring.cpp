@@ -12,6 +12,7 @@
 #include "mpisim/cluster.hpp"
 #include "mpisim/mpi.h"
 #include "simcommon/clock.hpp"
+#include "support/test_tmp.hpp"
 
 namespace {
 
@@ -95,7 +96,7 @@ TEST(TraceFile, RoundTripsExactly) {
   s.dur = 0.0;
   t.spans.push_back(s);
 
-  const std::string path = ::testing::TempDir() + "/roundtrip.rank3.jsonl";
+  const std::string path = ipm_test::test_tmp() + "/roundtrip.rank3.jsonl";
   ipm::write_trace_file(path, t);
   const ipm::RankTrace back = ipm::read_trace_file(path);
   EXPECT_EQ(back.rank, t.rank);
@@ -118,7 +119,7 @@ TEST(TraceFile, RoundTripsExactly) {
 TEST(TraceFile, PathFormatAndErrors) {
   EXPECT_EQ(ipm::trace_file_path("run_trace", 12), "run_trace.rank12.jsonl");
   EXPECT_THROW((void)ipm::read_trace_file("/nonexistent/trace.jsonl"), std::runtime_error);
-  const std::string bogus = ::testing::TempDir() + "/bogus.jsonl";
+  const std::string bogus = ipm_test::test_tmp() + "/bogus.jsonl";
   {
     std::FILE* f = std::fopen(bogus.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -154,7 +155,7 @@ ipm::JobProfile run_traced(unsigned ring_log2, const std::string& prefix,
 }
 
 TEST(TraceSaturation, DropsCountedProfileUnchanged) {
-  const std::string prefix = ::testing::TempDir() + "/sat_trace";
+  const std::string prefix = ipm_test::test_tmp() + "/sat_trace";
   // 200 barriers + init/finalize >> 16 ring slots: massive saturation.
   const ipm::JobProfile traced = run_traced(4, prefix);
   const ipm::JobProfile plain = run_traced(4, prefix + "_off", /*trace=*/false);
@@ -184,13 +185,13 @@ TEST(TraceSaturation, DropsCountedProfileUnchanged) {
 }
 
 TEST(TraceSaturation, DropsReportedInBannerAndXml) {
-  const std::string prefix = ::testing::TempDir() + "/rep_trace";
+  const std::string prefix = ipm_test::test_tmp() + "/rep_trace";
   const ipm::JobProfile job = run_traced(4, prefix);
   const std::string banner = ipm::banner_string(job, {.max_rows = 4, .full = true});
   EXPECT_NE(banner.find("# trace"), std::string::npos) << banner;
   EXPECT_NE(banner.find("dropped"), std::string::npos) << banner;
 
-  const std::string xml_path = ::testing::TempDir() + "/rep_trace.xml";
+  const std::string xml_path = ipm_test::test_tmp() + "/rep_trace.xml";
   ipm::write_xml_file(xml_path, job);
   const ipm::JobProfile back = ipm::parse_xml_file(xml_path);
   ASSERT_EQ(back.nranks, job.nranks);

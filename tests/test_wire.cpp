@@ -1,10 +1,15 @@
 // ipm_agg wire protocol (wire.hpp): frame codec round-trips, the strict
 // incremental decoder (truncation, bad version/type/length poisoning), the
-// hello/welcome payload helpers, and aggregator address parsing (net.hpp).
+// hello/welcome payload helpers, aggregator address parsing (net.hpp), and
+// the JSONL line format the SAMPLE payload carries: byte identity with a
+// printf "%.17g" reference and bit-exact parse round trips.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -12,6 +17,7 @@
 #include "ipm_live/live.hpp"
 #include "ipm_live/net.hpp"
 #include "ipm_live/wire.hpp"
+#include "simcommon/str.hpp"
 
 namespace {
 
@@ -249,29 +255,35 @@ ipm::live::Sample random_sample(std::mt19937_64& rng) {
   return s;
 }
 
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Optional fields (gf, gb, f) are omitted when zero, so -0.0 reads back
+/// as +0.0; every other value must come back bit for bit.
+bool same_optional(double written, double read) {
+  return same_bits(written == 0.0 ? 0.0 : written, read);
+}
+
 void expect_samples_equal(const ipm::live::Sample& a, const ipm::live::Sample& b) {
   EXPECT_EQ(a.rank, b.rank);
   EXPECT_EQ(a.seq, b.seq);
-  EXPECT_EQ(a.t0, b.t0);  // bit-exact: %.17g round-trips IEEE doubles
-  EXPECT_EQ(a.t1, b.t1);
+  EXPECT_TRUE(same_bits(a.t0, b.t0));  // %.17g round-trips IEEE doubles
+  EXPECT_TRUE(same_bits(a.t1, b.t1));
   EXPECT_EQ(a.final_flush, b.final_flush);
-  EXPECT_EQ(a.ddev_flops, b.ddev_flops);
-  EXPECT_EQ(a.ddev_bytes, b.ddev_bytes);
-  ASSERT_EQ(a.regions.size(), b.regions.size());
-  for (std::size_t i = 0; i < a.regions.size(); ++i) {
-    EXPECT_EQ(a.regions[i], b.regions[i]);
-  }
+  EXPECT_TRUE(same_optional(a.ddev_flops, b.ddev_flops));
+  EXPECT_TRUE(same_optional(a.ddev_bytes, b.ddev_bytes));
+  EXPECT_EQ(a.regions, b.regions);
   ASSERT_EQ(a.deltas.size(), b.deltas.size());
   for (std::size_t i = 0; i < a.deltas.size(); ++i) {
     const ipm::live::KeyDelta& x = a.deltas[i];
     const ipm::live::KeyDelta& y = b.deltas[i];
-    EXPECT_EQ(x.name_str.empty() ? std::string() : x.name_str, y.name_str);
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.name_str, y.name_str);
     EXPECT_EQ(x.region, y.region);
     EXPECT_EQ(x.select, y.select);
     EXPECT_EQ(x.dcount, y.dcount);
     EXPECT_EQ(x.dbytes, y.dbytes);
-    EXPECT_EQ(x.dtsum, y.dtsum);
-    EXPECT_EQ(x.dflops, y.dflops);
+    EXPECT_TRUE(same_bits(x.dtsum, y.dtsum));
+    EXPECT_TRUE(same_optional(x.dflops, y.dflops));
   }
 }
 
@@ -304,6 +316,298 @@ TEST(Wire, SampleRoundTripProperty) {
     ASSERT_TRUE(ipm::live::parse_sample_line(out.payload, wired));
     expect_samples_equal(s, wired);
   }
+}
+
+// --- line formatting: byte identity with the printf reference -------------
+
+using simx::strprintf;
+
+std::string ref_escape(const std::string& s) {
+  std::string out;
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          out += strprintf("\\u%04x", ch);
+        } else {
+          out += ch;
+        }
+    }
+  }
+  return out;
+}
+
+/// Reference sample_line: the "%.17g" printf formatting the JSONL and wire
+/// format are defined by.
+std::string ref_sample_line(const ipm::live::Sample& s) {
+  std::string out = strprintf(
+      "{\"type\":\"sample\",\"rank\":%d,\"seq\":%llu,\"t0\":%.17g,\"t1\":%.17g,"
+      "\"final\":%d",
+      s.rank, static_cast<unsigned long long>(s.seq), s.t0, s.t1,
+      s.final_flush ? 1 : 0);
+  if (s.ddev_flops != 0.0) out += strprintf(",\"gf\":%.17g", s.ddev_flops);
+  if (s.ddev_bytes != 0.0) out += strprintf(",\"gb\":%.17g", s.ddev_bytes);
+  out += ",\"regions\":[";
+  for (std::size_t i = 0; i < s.regions.size(); ++i) {
+    if (i != 0) out += ',';
+    out += '"' + ref_escape(s.regions[i]) + '"';
+  }
+  out += "],\"deltas\":[";
+  for (std::size_t i = 0; i < s.deltas.size(); ++i) {
+    const ipm::live::KeyDelta& d = s.deltas[i];
+    if (i != 0) out += ',';
+    out += strprintf(
+        "{\"n\":\"%s\",\"r\":%u,\"s\":%d,\"c\":%llu,\"b\":%llu,\"t\":%.17g",
+        ref_escape(d.name_str).c_str(), d.region, d.select,
+        static_cast<unsigned long long>(d.dcount),
+        static_cast<unsigned long long>(d.dbytes), d.dtsum);
+    if (d.dflops != 0.0) out += strprintf(",\"f\":%.17g", d.dflops);
+    out += '}';
+  }
+  out += "]}";
+  return out;
+}
+
+std::string ref_point_line(const ipm::live::ClusterPoint& p) {
+  std::string out = strprintf(
+      "{\"type\":\"point\",\"k\":%llu,\"t0\":%.17g,\"t1\":%.17g,\"ranks\":%d,"
+      "\"ranks_live\":%d,\"samples\":%llu,\"devents\":%llu,"
+      "\"mpi_s\":%.17g,\"cuda_s\":%.17g,\"gpu_s\":%.17g,\"idle_s\":%.17g,"
+      "\"blas_s\":%.17g,\"fft_s\":%.17g,\"mpi_bytes\":%llu,\"cuda_bytes\":%llu,"
+      "\"flops\":%.17g",
+      static_cast<unsigned long long>(p.k), p.t0, p.t1, p.ranks, p.ranks_live,
+      static_cast<unsigned long long>(p.samples),
+      static_cast<unsigned long long>(p.devents), p.mpi_s, p.cuda_s, p.gpu_s,
+      p.idle_s, p.blas_s, p.fft_s, static_cast<unsigned long long>(p.mpi_bytes),
+      static_cast<unsigned long long>(p.cuda_bytes), p.flops);
+  if (p.dev_flops != 0.0) out += strprintf(",\"devflops\":%.17g", p.dev_flops);
+  if (p.dev_bytes != 0.0) out += strprintf(",\"devbytes\":%.17g", p.dev_bytes);
+  out += ",\"regions\":[";
+  for (std::size_t i = 0; i < p.region_flops.size(); ++i) {
+    if (i != 0) out += ',';
+    out += strprintf("{\"name\":\"%s\",\"flops\":%.17g}",
+                     ref_escape(p.region_flops[i].first).c_str(),
+                     p.region_flops[i].second);
+  }
+  out += "]}";
+  return out;
+}
+
+/// Doubles the formatter must handle: signed zeros, subnormals, the range
+/// ends, the 1e15-1e22 band where "%.17g" switches notation, and infinities.
+std::vector<double> edge_doubles() {
+  std::vector<double> v = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           DBL_MIN * 0.5,
+                           DBL_MIN,
+                           DBL_MAX,
+                           -DBL_MAX,
+                           DBL_EPSILON,
+                           1.0,
+                           -1.0,
+                           0.1,
+                           1.0 / 3.0,
+                           -2.5e-300,
+                           123456789012345678.0,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (int e = 15; e <= 22; ++e) {
+    const double p = std::pow(10.0, e);
+    v.push_back(p);
+    v.push_back(-p);
+    v.push_back(std::nextafter(p, 0.0));
+    v.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  return v;
+}
+
+/// A double from uniformly random bits: every exponent and mantissa shape,
+/// NaNs excluded unless `allow_nan` (their payload does not round-trip).
+double random_bits_double(std::mt19937_64& rng, bool allow_nan) {
+  for (;;) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (allow_nan || !std::isnan(d)) return d;
+  }
+}
+
+/// Sample whose every double comes from `next` and whose names and regions
+/// need escaping (quotes, backslashes, control characters, high bytes).
+template <class Next>
+ipm::live::Sample awkward_sample(std::mt19937_64& rng, Next next) {
+  static const char* const kNames[] = {
+      "MPI_Allreduce",  "cudaMemcpy", "@CUDA_EXEC:k\"q\"", "tab\there",
+      "ctl\x01\x1f\x7f", "back\\slash", "nl\nret\r",     "utf8 \xc3\xa9",
+      "cublasDgemm[ERR=cublasStatusExecutionFailed]"};
+  ipm::live::Sample s;
+  s.rank = static_cast<int>(rng() % 7) - 3;
+  s.seq = rng();
+  s.t0 = next();
+  s.t1 = next();
+  s.final_flush = (rng() & 1) != 0;
+  if ((rng() & 1) != 0) s.ddev_flops = next();
+  if ((rng() & 1) != 0) s.ddev_bytes = next();
+  const int nregions = static_cast<int>(rng() % 4);
+  for (int i = 0; i < nregions; ++i) {
+    s.regions.push_back(kNames[rng() % std::size(kNames)]);
+  }
+  const int ndeltas = static_cast<int>(rng() % 6);
+  for (int i = 0; i < ndeltas; ++i) {
+    ipm::live::KeyDelta d;
+    d.name_str = kNames[rng() % std::size(kNames)];
+    d.region = static_cast<std::uint32_t>(rng());
+    d.select = static_cast<std::int32_t>(rng());
+    d.dcount = rng();
+    d.dbytes = rng();
+    d.dtsum = next();
+    if ((rng() & 1) != 0) d.dflops = next();
+    s.deltas.push_back(std::move(d));
+  }
+  return s;
+}
+
+template <class Next>
+ipm::live::ClusterPoint awkward_point(std::mt19937_64& rng, Next next) {
+  ipm::live::ClusterPoint p;
+  p.k = rng();
+  p.t0 = next();
+  p.t1 = next();
+  p.ranks = static_cast<int>(rng());
+  p.ranks_live = static_cast<int>(rng());
+  p.samples = rng();
+  p.devents = rng();
+  p.mpi_s = next();
+  p.cuda_s = next();
+  p.gpu_s = next();
+  p.idle_s = next();
+  p.blas_s = next();
+  p.fft_s = next();
+  p.mpi_bytes = rng();
+  p.cuda_bytes = rng();
+  p.flops = next();
+  if ((rng() & 1) != 0) p.dev_flops = next();
+  if ((rng() & 1) != 0) p.dev_bytes = next();
+  const int nregions = static_cast<int>(rng() % 4);
+  for (int i = 0; i < nregions; ++i) {
+    p.region_flops.emplace_back(i % 2 == 0 ? "ipm_global" : "a\"b\\\x02", next());
+  }
+  return p;
+}
+
+TEST(LineFormat, MatchesPrintfReferenceOnRandomBitPatterns) {
+  std::mt19937_64 rng(20261017u);
+  const auto next = [&rng] { return random_bits_double(rng, /*allow_nan=*/true); };
+  for (int iter = 0; iter < 2000; ++iter) {
+    const ipm::live::Sample s = awkward_sample(rng, next);
+    ASSERT_EQ(ipm::live::sample_line(s), ref_sample_line(s));
+    const ipm::live::ClusterPoint p = awkward_point(rng, next);
+    ASSERT_EQ(ipm::live::point_line(p), ref_point_line(p));
+  }
+  for (int iter = 0; iter < 200000; ++iter) {
+    ipm::live::Sample s;
+    s.t0 = next();
+    ASSERT_EQ(ipm::live::sample_line(s), ref_sample_line(s));
+  }
+}
+
+TEST(LineFormat, MatchesPrintfReferenceOnEdgeValues) {
+  const std::vector<double> edges = edge_doubles();
+  std::mt19937_64 rng(7u);
+  std::size_t i = 0;
+  const auto next = [&] { return edges[i++ % edges.size()]; };
+  for (std::size_t iter = 0; iter < 4 * edges.size(); ++iter) {
+    ipm::live::Sample s = awkward_sample(rng, next);
+    s.rank = iter % 2 == 0 ? std::numeric_limits<int>::min()
+                           : std::numeric_limits<int>::max();
+    s.seq = std::numeric_limits<std::uint64_t>::max();
+    ASSERT_EQ(ipm::live::sample_line(s), ref_sample_line(s));
+    const ipm::live::ClusterPoint p = awkward_point(rng, next);
+    ASSERT_EQ(ipm::live::point_line(p), ref_point_line(p));
+  }
+  for (const double d : edges) {
+    ipm::live::ClusterPoint p;
+    p.flops = d;
+    p.dev_flops = d;
+    p.region_flops.emplace_back("r", d);
+    ASSERT_EQ(ipm::live::point_line(p), ref_point_line(p)) << d;
+  }
+  EXPECT_EQ(ipm::live::timeseries_header_line("./a \"b\"\x03", 0.1),
+            strprintf("{\"ipm_timeseries\":1,\"command\":\"%s\",\"interval\":%.17g}",
+                      ref_escape("./a \"b\"\x03").c_str(), 0.1));
+  EXPECT_EQ(ipm::live::end_line(std::numeric_limits<std::uint64_t>::max()),
+            "{\"type\":\"end\",\"intervals\":18446744073709551615}");
+}
+
+TEST(LineFormat, SampleLinesRoundTripBitExactly) {
+  std::mt19937_64 rng(99u);
+  const std::vector<double> edges = edge_doubles();
+  std::size_t i = 0;
+  const auto random = [&rng] { return random_bits_double(rng, /*allow_nan=*/false); };
+  const auto edge = [&] { return edges[i++ % edges.size()]; };
+  for (int iter = 0; iter < 2000; ++iter) {
+    const ipm::live::Sample s =
+        iter % 4 == 0 ? awkward_sample(rng, edge) : awkward_sample(rng, random);
+    const std::string line = ipm::live::sample_line(s);
+    ipm::live::Sample back;
+    ASSERT_TRUE(ipm::live::parse_sample_line(line, back)) << line;
+    expect_samples_equal(s, back);
+  }
+}
+
+/// Parsing into a Sample that already holds a longer line (the daemon's
+/// per-worker scratch) must give exactly what a fresh parse gives.
+TEST(LineFormat, ParseIntoUsedSampleMatchesFreshParse) {
+  std::mt19937_64 rng(5u);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  const auto next = [&] { return uni(rng); };
+  ipm::live::Sample long_s = awkward_sample(rng, next);
+  long_s.final_flush = true;
+  long_s.ddev_flops = 1.5e12;
+  long_s.ddev_bytes = 2.5e9;
+  long_s.regions = {"ipm_global", "solve", "halo \"x\""};
+  while (long_s.deltas.size() < 6) long_s.deltas.emplace_back();
+  for (ipm::live::KeyDelta& d : long_s.deltas) {
+    d.name_str = "a_rather_long_kernel_name_that_defeats_small_strings";
+    d.dflops = 3.0;
+  }
+  ipm::live::Sample short_s;
+  short_s.rank = 1;
+  short_s.seq = 2;
+  short_s.t0 = 0.5;
+  short_s.t1 = 0.75;
+  ipm::live::KeyDelta d;
+  d.name_str = "MPI_Send";
+  d.dcount = 4;
+  d.dtsum = 0.125;
+  short_s.deltas.push_back(d);
+  for (const ipm::live::Sample& shorter :
+       {short_s, ipm::live::Sample{}, awkward_sample(rng, next)}) {
+    const std::string line = ipm::live::sample_line(shorter);
+    ipm::live::Sample fresh;
+    ASSERT_TRUE(ipm::live::parse_sample_line(line, fresh));
+    ipm::live::Sample reused;
+    ASSERT_TRUE(ipm::live::parse_sample_line(ipm::live::sample_line(long_s), reused));
+    reused.deltas.front().name = 42;  // as if interned in-process
+    ASSERT_TRUE(ipm::live::parse_sample_line(line, reused));
+    expect_samples_equal(fresh, reused);
+    EXPECT_EQ(ipm::live::sample_line(reused), line);
+  }
+  // A malformed line is still rejected after a good one filled the target.
+  std::string bad = ipm::live::sample_line(short_s);
+  ipm::live::Sample reused;
+  ASSERT_TRUE(ipm::live::parse_sample_line(ipm::live::sample_line(long_s), reused));
+  EXPECT_FALSE(ipm::live::parse_sample_line(bad.substr(0, bad.size() - 3), reused));
+  bad.replace(bad.find("\"t\":"), 4, "\"t\":x");
+  EXPECT_FALSE(ipm::live::parse_sample_line(bad, reused));
+  EXPECT_FALSE(ipm::live::parse_sample_line("", reused));
 }
 
 /// A valid multi-frame stream for the mutator: hello + samples + fin + end.
