@@ -1,6 +1,7 @@
 // Sharded ipm_aggd daemon core (see aggd.hpp): epoll IO thread routes
-// frames to per-job FIFO queues executed by a work-stealing pool; per-job
-// state is worker-exclusive (scheduled-flag protocol), the fleet merge
+// frames to per-job FIFO queues, applied by the IO thread after each read
+// (serial mode) or by a work-stealing pool; per-job state is exclusive to
+// one thread at a time (scheduled-flag protocol), the fleet merge
 // folds fixed-size chunks under one narrow mutex, idle jobs spill to disk,
 // and slow clients are disconnected on a bounded stall budget.
 #include "ipm_aggd/aggd.hpp"
@@ -12,10 +13,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -55,6 +58,26 @@ std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Exposition bytes rendered before write_prom() hands them to the file.
+constexpr std::size_t kPromChunk = 64u << 10;
+
+/// Append `v` as printf's "%.17g" prints it: to_chars with
+/// chars_format::general and precision 17 gives the same bytes.
+void put_dbl(std::string& out, double v) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+/// Append the integer `v` in decimal.
+template <class Int>
+void put_int(std::string& out, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
 }
 
 std::string line_escape(const std::string& s) {
@@ -135,16 +158,14 @@ bool Daemon::start(std::string& err) {
     }
     tails_.push_back(std::move(t));
   }
-  int nw = opt_.workers;
-  if (nw < 0) {
-    // A pool needs real parallelism to pay for the IO->worker handoff
-    // (enqueue futex + eventfd wake + two context switches per batch); on
-    // a single-core host serial mode, applying inline on the IO thread, is
-    // strictly faster.  An explicit workers count always wins.
-    const unsigned hc = std::thread::hardware_concurrency();
-    nw = hc >= 2 ? static_cast<int>(std::clamp(hc, 2u, 8u)) : 0;
+  // Serial unless a pool is asked for.  A pool has to pay for the
+  // IO->worker handoff (enqueue futex, eventfd wake, two context switches
+  // per batch, a flush walk over every session per wake), and at the loads
+  // fleetgen and ipmbench measure it gives about the same ingest for more
+  // CPU.
+  if (opt_.workers > 0) {
+    pool_ = std::make_unique<WorkerPool>(static_cast<unsigned>(opt_.workers));
   }
-  if (nw > 0) pool_ = std::make_unique<WorkerPool>(static_cast<unsigned>(nw));
   write_prom();
   return true;
 }
@@ -205,8 +226,16 @@ void Daemon::enqueue(Job& job, Work&& w) {
   if (pool_) {
     pool_->submit(job.home, [this, jp] { process_job(jp); });
   } else {
-    process_job(jp);  // serial mode: apply inline on the IO thread
+    serial_due_.push_back(jp);  // applied by the IO thread in apply_serial()
   }
+}
+
+void Daemon::apply_serial() {
+  // Each job appears once (its scheduled flag stays set until process_job
+  // drains it), so a read's frames for one job are applied as one batch.
+  // handle_batch never enqueues, so the vector is stable while we walk it.
+  for (Job* job : serial_due_) process_job(job);
+  serial_due_.clear();
 }
 
 // --- worker side ------------------------------------------------------------
@@ -457,13 +486,22 @@ void Daemon::fold_fleet(FleetBatch& fb) {
   {
     const std::lock_guard<std::mutex> lock(fleet_mu_);
     if (!fb.new_ranks.empty()) fleet_any_ = true;
-    for (const int r : fb.new_ranks) fleet_live_.insert(r);
+    for (const int r : fb.new_ranks) {
+      if (fleet_live_pos_.try_emplace(r, fleet_live_.size()).second) {
+        fleet_live_.push_back(r);
+      }
+    }
     for (std::size_t i = 0; i < fb.n; ++i) fleet_.add_sample(fb.slots[i]);
     for (const int r : fb.fin_ranks) {
       fleet_.finalize_rank(r);
-      fleet_live_.erase(r);
+      const auto it = fleet_live_pos_.find(r);
+      if (it == fleet_live_pos_.end()) continue;
+      const int last = fleet_live_.back();
+      fleet_live_[it->second] = last;
+      fleet_live_pos_[last] = it->second;
+      fleet_live_.pop_back();
+      fleet_live_pos_.erase(it);
     }
-    if (!fb.new_ranks.empty() || !fb.fin_ranks.empty()) fleet_live_dirty_ = true;
   }
   fb.n = 0;
   fb.new_ranks.clear();
@@ -676,6 +714,7 @@ void Daemon::read_session(Session& ses) {
   }
   Frame f;
   while (!ses.closed && ses.dec.next(f)) route_frame(ses, std::move(f));
+  apply_serial();
   if (!ses.dec.error().empty()) {
     std::fprintf(stderr, "ipm_aggd: protocol error: %s\n",
                  ses.dec.error().c_str());
@@ -702,6 +741,18 @@ void Daemon::mark_closed(Session& ses) {
   // storms EPOLLHUP on every wait until the next reap pass, turning the IO
   // loop into a busy loop.  The fd itself is released by reap_sessions().
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ses.fd, nullptr);
+  closed_fds_.push_back(ses.fd);
+}
+
+void Daemon::set_blocked(Session& ses, bool on) {
+  if (ses.blocked == on) return;
+  ses.blocked = on;
+  if (on) {
+    ses.stall_since = Clock::now();
+    blocked_sessions_ += 1;
+  } else {
+    blocked_sessions_ -= 1;
+  }
 }
 
 void Daemon::set_write_interest(Session& ses, bool on) {
@@ -736,28 +787,29 @@ void Daemon::flush_session(Session& ses) {
     }
   }
   if (ses.wbuf.empty()) {
-    ses.blocked = false;
+    set_blocked(ses, false);
     set_write_interest(ses, false);
     return;
   }
   const long w = live::net::write_some(ses.fd, ses.wbuf.data(), ses.wbuf.size());
   if (w < 0) {
+    // The peer is gone, but what it sent before closing is still queued on
+    // our side.  Read it to EOF first, so its complete frames are applied
+    // and a cut-off tail is counted, as when the EOF is read before the
+    // reply is written (serial mode writes replies right after each read).
+    read_session(ses);
     mark_closed(ses);
     return;
   }
   if (w > 0) {
     ses.wbuf.erase(0, static_cast<std::size_t>(w));
-    ses.blocked = false;
+    set_blocked(ses, false);  // progress restarts the stall clock
   }
   if (ses.wbuf.empty()) {
-    ses.blocked = false;
     set_write_interest(ses, false);
     return;
   }
-  if (!ses.blocked) {
-    ses.blocked = true;
-    ses.stall_since = Clock::now();
-  }
+  set_blocked(ses, true);
   set_write_interest(ses, true);
   if (ses.wbuf.size() > opt_.session_outbuf_max) {
     std::fprintf(stderr,
@@ -769,23 +821,43 @@ void Daemon::flush_session(Session& ses) {
   }
 }
 
-void Daemon::reap_sessions() {
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    Session& ses = *it->second;
-    if (!ses.closed) {
-      ++it;
-      continue;
+void Daemon::reap_sessions(Clock::time_point now) {
+  // Stall budget: a client that stopped reading gets disconnected, never
+  // blocks the daemon.  Only blocked sessions can stall, so the walk over
+  // every session runs only while there is one.
+  if (blocked_sessions_ > 0) {
+    for (auto& [fd, ses] : sessions_) {
+      if (ses->closed || !ses->blocked) continue;
+      const auto stalled =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              now - ses->stall_since)
+              .count();
+      if (stalled > opt_.stall_ms) {
+        std::fprintf(stderr,
+                     "ipm_aggd: disconnecting stalled client (no write "
+                     "progress for %lld ms)\n",
+                     static_cast<long long>(stalled));
+        stalled_disconnects_.fetch_add(1, std::memory_order_relaxed);
+        mark_closed(*ses);
+      }
     }
+  }
+  for (const int fd : closed_fds_) {
+    const auto it = sessions_.find(fd);
+    if (it == sessions_.end()) continue;
+    Session& ses = *it->second;
+    set_blocked(ses, false);
     {
       const std::lock_guard<std::mutex> lock(ses.out->mu);
       ses.out->closed = true;  // workers stop appending replies
       ses.out->buf.clear();
     }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ses.fd, nullptr);
+    // mark_closed() already took the fd out of the epoll set.
     live::net::close_fd(ses.fd);
-    it = sessions_.erase(it);
+    sessions_.erase(it);
     prom_dirty_.store(true, std::memory_order_relaxed);
   }
+  closed_fds_.clear();
 }
 
 void Daemon::pump_tails() {
@@ -815,6 +887,7 @@ void Daemon::pump_tails() {
           w.frame.type = FrameType::kJobEnd;
           w.frame.job = t.job;
           enqueue(*job, std::move(w));
+          apply_serial();
         }
         t.done = true;
         break;
@@ -844,6 +917,9 @@ void Daemon::pump_tails() {
           wf.frame.job = t.job;
           enqueue(job, std::move(wf));
         }
+        // A tailed file can be a whole run: apply line by line rather
+        // than queueing all of it.
+        apply_serial();
       }
       // Emitted points in the file are ignored: the daemon re-derives them.
     }
@@ -852,29 +928,12 @@ void Daemon::pump_tails() {
 
 void Daemon::maintenance() {
   const Clock::time_point now = Clock::now();
-  // Stall budget + reap: O(sessions) scans, so run them at a bounded
-  // cadence rather than on every epoll wake.  A closed session lingers at
-  // most one period before its fd is released.
+  // Stall budget + reap at a bounded cadence rather than on every epoll
+  // wake.  A closed session lingers at most one period before its fd is
+  // released.
   if (now >= maint_next_) {
     maint_next_ = now + std::chrono::milliseconds(50);
-    // Stall budget: a client that stopped reading gets disconnected, never
-    // blocks the daemon.
-    for (auto& [fd, ses] : sessions_) {
-      if (ses->closed || !ses->blocked) continue;
-      const auto stalled =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              now - ses->stall_since)
-              .count();
-      if (stalled > opt_.stall_ms) {
-        std::fprintf(stderr,
-                     "ipm_aggd: disconnecting stalled client (no write "
-                     "progress for %lld ms)\n",
-                     static_cast<long long>(stalled));
-        stalled_disconnects_.fetch_add(1, std::memory_order_relaxed);
-        mark_closed(*ses);
-      }
-    }
-    reap_sessions();
+    reap_sessions(now);
   }
   // Fleet emission under the narrow merge mutex, rate-limited.
   if (now >= fleet_next_) {
@@ -886,11 +945,7 @@ void Daemon::maintenance() {
     {
       const std::lock_guard<std::mutex> lock(fleet_mu_);
       if (fleet_any_) {
-        if (fleet_live_dirty_) {
-          fleet_live_vec_.assign(fleet_live_.begin(), fleet_live_.end());
-          fleet_live_dirty_ = false;
-        }
-        fleet_.emit_due(fleet_live_vec_,
+        fleet_.emit_due(fleet_live_,
                         static_cast<int>(n_jobs_.load(std::memory_order_relaxed)),
                         pts);
         for (const live::ClusterPoint& p : pts) {
@@ -906,15 +961,19 @@ void Daemon::maintenance() {
     spill_next_ =
         now + std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
     const std::int64_t cutoff = now_ms() - opt_.spill_idle_ms;
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    for (auto& [id, job] : jobs_) {
-      const std::int64_t la = job->last_active_ms.load(std::memory_order_relaxed);
-      if (la == 0 || la == kInactive || la >= cutoff) continue;
-      job->last_active_ms.store(kInactive, std::memory_order_relaxed);
-      Work w;
-      w.kind = Work::Kind::kSpill;
-      enqueue(*job, std::move(w));
+    {
+      const std::lock_guard<std::mutex> lock(jobs_mu_);
+      for (auto& [id, job] : jobs_) {
+        const std::int64_t la =
+            job->last_active_ms.load(std::memory_order_relaxed);
+        if (la == 0 || la == kInactive || la >= cutoff) continue;
+        job->last_active_ms.store(kInactive, std::memory_order_relaxed);
+        Work w;
+        w.kind = Work::Kind::kSpill;
+        enqueue(*job, std::move(w));
+      }
     }
+    apply_serial();
   }
   // Exposition rewrite, rate-limited (the seed rewrote every dirty loop).
   if (prom_dirty_.load(std::memory_order_relaxed) && now >= prom_next_) {
@@ -931,51 +990,91 @@ void Daemon::write_prom() {
   {
     std::ofstream os(tmp, std::ios::trunc);
     if (!os) return;
-    char buf[64];
-    const auto num = [&buf](double v) -> const char* {
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      return buf;
+    // Rendered with to_chars into one buffer that is written out whenever
+    // it passes kPromChunk: at fleet scale a rewrite is tens of thousands
+    // of lines, and ostream insertion plus snprintf per value cost more
+    // than the rest of the rewrite.
+    std::string out;
+    out.reserve(kPromChunk + 4096);
+    const auto spill = [&os, &out] {
+      if (out.size() < kPromChunk) return;
+      os.write(out.data(), static_cast<std::streamsize>(out.size()));
+      out.clear();
     };
-    // Snapshot the job set (sorted by id, as the seed iterated its map).
-    struct JobSnap {
-      std::string id;
-      PromSnap snap;
-    };
-    std::vector<JobSnap> per_job;
+    // Snapshot the job set (sorted by id, as the seed iterated its map)
+    // into flat arrays: the rendering walks one metric across every job,
+    // so it reads each job's values and rank rows from contiguous memory
+    // rather than from a heap vector per job.
+    std::vector<std::string> labels;     ///< escaped ids, as in job="..."
+    std::vector<live::PromItem> protos;  ///< name, help and kind per item
+    std::vector<double> values;          ///< job j's item i at j*items+i
+    std::vector<std::pair<std::uint32_t, RankState>> rank_rows;
+    std::vector<std::size_t> rank_end;   ///< job j's rows end here
     {
       const std::lock_guard<std::mutex> lock(jobs_mu_);
-      per_job.reserve(jobs_.size());
+      labels.reserve(jobs_.size());
+      rank_end.reserve(jobs_.size());
       for (const auto& [id, job] : jobs_) {
         const std::lock_guard<std::mutex> snap_lock(job->snap_mu);
-        per_job.push_back({id, job->snap});
+        const PromSnap& snap = job->snap;
+        if (protos.empty()) {
+          protos = snap.items;
+          values.reserve(protos.size() * jobs_.size());
+        }
+        labels.push_back(prom_escape(id));
+        for (const live::PromItem& item : snap.items) {
+          values.push_back(item.value);
+        }
+        rank_rows.insert(rank_rows.end(), snap.ranks.begin(), snap.ranks.end());
+        rank_end.push_back(rank_rows.size());
       }
     }
-    os << "# HELP ipm_agg_jobs Jobs known to the aggregation daemon.\n"
-          "# TYPE ipm_agg_jobs gauge\n"
-       << "ipm_agg_jobs " << per_job.size() << '\n';
-    os << "# HELP ipm_agg_jobs_ended Jobs that completed their stream.\n"
-          "# TYPE ipm_agg_jobs_ended gauge\n"
-       << "ipm_agg_jobs_ended " << jobs_ended_.load(std::memory_order_relaxed)
-       << '\n';
-    os << "# HELP ipm_agg_connections Open client connections.\n"
-          "# TYPE ipm_agg_connections gauge\n"
-       << "ipm_agg_connections " << sessions_.size() << '\n';
-    os << "# HELP ipm_agg_protocol_errors_total Rejected frames/streams.\n"
-          "# TYPE ipm_agg_protocol_errors_total counter\n"
-       << "ipm_agg_protocol_errors_total "
-       << protocol_errors_.load(std::memory_order_relaxed) << '\n';
+    const std::size_t n_jobs = labels.size();
+    const std::size_t n_items = protos.size();
+    const auto gauge = [&out](std::string_view head, std::string_view name,
+                              auto value) {
+      out += head;
+      out += name;
+      out += ' ';
+      put_int(out, value);
+      out += '\n';
+    };
+    gauge("# HELP ipm_agg_jobs Jobs known to the aggregation daemon.\n"
+          "# TYPE ipm_agg_jobs gauge\n",
+          "ipm_agg_jobs", n_jobs);
+    gauge("# HELP ipm_agg_jobs_ended Jobs that completed their stream.\n"
+          "# TYPE ipm_agg_jobs_ended gauge\n",
+          "ipm_agg_jobs_ended", jobs_ended_.load(std::memory_order_relaxed));
+    gauge("# HELP ipm_agg_connections Open client connections.\n"
+          "# TYPE ipm_agg_connections gauge\n",
+          "ipm_agg_connections", sessions_.size());
+    gauge("# HELP ipm_agg_protocol_errors_total Rejected frames/streams.\n"
+          "# TYPE ipm_agg_protocol_errors_total counter\n",
+          "ipm_agg_protocol_errors_total",
+          protocol_errors_.load(std::memory_order_relaxed));
+    const auto block_head = [&out](std::string_view name,
+                                   std::string_view help, bool counter) {
+      out += "# HELP ";
+      out += name;
+      out += ' ';
+      out += help;
+      out += "\n# TYPE ";
+      out += name;
+      out += counter ? " counter\n" : " gauge\n";
+    };
     // Per-job metrics, grouped by metric name (one HELP/TYPE block, one
     // labelled sample per job — prom_items() has a fixed order).
-    if (!per_job.empty()) {
-      const std::size_t n_items = per_job.front().snap.items.size();
-      for (std::size_t i = 0; i < n_items; ++i) {
-        const live::PromItem& proto = per_job.front().snap.items[i];
-        os << "# HELP " << proto.name << ' ' << proto.help << "\n# TYPE "
-           << proto.name << (proto.counter ? " counter\n" : " gauge\n");
-        for (const JobSnap& js : per_job) {
-          os << proto.name << "{job=\"" << prom_escape(js.id) << "\"} "
-             << num(js.snap.items[i].value) << '\n';
-        }
+    for (std::size_t i = 0; i < n_items; ++i) {
+      const live::PromItem& proto = protos[i];
+      block_head(proto.name, proto.help, proto.counter);
+      for (std::size_t j = 0; j < n_jobs; ++j) {
+        out += proto.name;
+        out += "{job=\"";
+        out += labels[j];
+        out += "\"} ";
+        put_dbl(out, values[j * n_items + i]);
+        out += '\n';
+        spill();
       }
     }
     // Per-rank transport state (provenance through aggregation).
@@ -997,38 +1096,45 @@ void Daemon::write_prom() {
          &RankState::drops},
     };
     for (const RankMetric& m : kRankMetrics) {
-      os << "# HELP " << m.name << ' ' << m.help << "\n# TYPE " << m.name
-         << (m.counter ? " counter\n" : " gauge\n");
-      for (const JobSnap& js : per_job) {
-        for (const auto& [rank, rs] : js.snap.ranks) {
-          os << m.name << "{job=\"" << prom_escape(js.id) << "\",rank=\""
-             << rank << "\"} " << rs.*m.field << '\n';
+      block_head(m.name, m.help, m.counter);
+      std::size_t row = 0;
+      for (std::size_t j = 0; j < n_jobs; ++j) {
+        for (; row < rank_end[j]; ++row) {
+          const auto& [rank, rs] = rank_rows[row];
+          out += m.name;
+          out += "{job=\"";
+          out += labels[j];
+          out += "\",rank=\"";
+          put_int(out, rank);
+          out += "\"} ";
+          put_int(out, rs.*m.field);
+          out += '\n';
         }
+        spill();
       }
     }
     // Sharded-daemon health counters (additions over the seed exposition).
-    os << "# HELP ipm_agg_stalled_disconnects_total Sessions dropped for "
+    gauge("# HELP ipm_agg_stalled_disconnects_total Sessions dropped for "
           "blowing the outbound stall budget.\n"
-          "# TYPE ipm_agg_stalled_disconnects_total counter\n"
-       << "ipm_agg_stalled_disconnects_total "
-       << stalled_disconnects_.load(std::memory_order_relaxed) << '\n';
-    os << "# HELP ipm_agg_spills_total Idle jobs spilled to disk.\n"
-          "# TYPE ipm_agg_spills_total counter\n"
-       << "ipm_agg_spills_total " << spills_.load(std::memory_order_relaxed)
-       << '\n';
-    os << "# HELP ipm_agg_rehydrations_total Spilled jobs restored on new "
+          "# TYPE ipm_agg_stalled_disconnects_total counter\n",
+          "ipm_agg_stalled_disconnects_total",
+          stalled_disconnects_.load(std::memory_order_relaxed));
+    gauge("# HELP ipm_agg_spills_total Idle jobs spilled to disk.\n"
+          "# TYPE ipm_agg_spills_total counter\n",
+          "ipm_agg_spills_total", spills_.load(std::memory_order_relaxed));
+    gauge("# HELP ipm_agg_rehydrations_total Spilled jobs restored on new "
           "traffic.\n"
-          "# TYPE ipm_agg_rehydrations_total counter\n"
-       << "ipm_agg_rehydrations_total "
-       << rehydrations_.load(std::memory_order_relaxed) << '\n';
-    os << "# HELP ipm_agg_worker_steals_total Batches run off their home "
+          "# TYPE ipm_agg_rehydrations_total counter\n",
+          "ipm_agg_rehydrations_total",
+          rehydrations_.load(std::memory_order_relaxed));
+    gauge("# HELP ipm_agg_worker_steals_total Batches run off their home "
           "worker.\n"
-          "# TYPE ipm_agg_worker_steals_total counter\n"
-       << "ipm_agg_worker_steals_total " << (pool_ ? pool_->steals() : 0)
-       << '\n';
-    os << "# HELP ipm_agg_workers Worker threads (0 = serial mode).\n"
-          "# TYPE ipm_agg_workers gauge\n"
-       << "ipm_agg_workers " << (pool_ ? pool_->size() : 0) << '\n';
+          "# TYPE ipm_agg_worker_steals_total counter\n",
+          "ipm_agg_worker_steals_total", steals());
+    gauge("# HELP ipm_agg_workers Worker threads (0 = serial mode).\n"
+          "# TYPE ipm_agg_workers gauge\n",
+          "ipm_agg_workers", workers());
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
   }
   std::rename(tmp.c_str(), prom_path_.c_str());
 }

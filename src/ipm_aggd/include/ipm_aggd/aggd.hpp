@@ -11,7 +11,9 @@
 //
 // Architecture (fleet scale): one epoll (level-triggered) IO thread
 // accepts connections, reads/decodes frames, and routes each frame to its
-// job's FIFO work queue; a work-stealing worker pool (worker_pool.hpp)
+// job's FIFO work queue.  In serial mode (the default) the IO thread
+// drains every queue a session read touched once that read is routed; with
+// an explicit `workers` count a work-stealing pool (worker_pool.hpp)
 // executes the queues.  Every job is pinned to a home worker and a
 // scheduled-flag protocol keeps at most one batch per job in flight, so
 // per-job state — the JobMerger, rank epochs, the output stream — is
@@ -44,8 +46,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ipm_aggd/worker_pool.hpp"
@@ -71,8 +73,10 @@ struct Options {
   int exit_after_jobs = 0;
   /// IO loop wakeup budget per iteration, in milliseconds.
   int poll_ms = 2;
-  /// Worker threads: <0 auto-sizes from the host, 0 runs serial (frames
-  /// applied inline on the IO thread), >0 is an explicit pool size.
+  /// Worker threads: <=0 runs serial (frames applied on the IO thread,
+  /// once per session read), >0 starts a pool of that many workers.  The
+  /// default (-1) is serial on every host: at every load the benchmarks
+  /// measure, a pool gives about the same ingest for more CPU per sample.
   int workers = -1;
   /// Spill a job's state to disk after this much idle wall time in
   /// milliseconds (0 = never spill).
@@ -259,7 +263,12 @@ class Daemon {
   void accept_pending();
   void read_session(Session& ses);
   void flush_session(Session& ses);
-  void reap_sessions();
+  /// Disconnect sessions past the stall budget, then release the fd of
+  /// every session closed since the last call.
+  void reap_sessions(Clock::time_point now);
+  /// Track whether `ses` has unsent bytes (a stall candidate); turning it
+  /// on restarts the stall clock.
+  void set_blocked(Session& ses, bool on);
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
   void route_frame(Session& ses, live::wire::Frame&& f);
@@ -272,6 +281,8 @@ class Daemon {
   Job& get_or_create_job(const std::string& id, const std::string& command,
                          double interval);
   void enqueue(Job& job, Work&& w);
+  /// Serial mode: drain every job queue scheduled since the last call.
+  void apply_serial();
 
   // --- worker side (exclusive per job via the scheduled flag) ---------------
   void process_job(Job* job);
@@ -300,6 +311,8 @@ class Daemon {
   int epoll_fd_ = -1;
   int event_fd_ = -1;
   std::map<int, std::unique_ptr<Session>> sessions_;  ///< by fd (IO thread)
+  std::vector<int> closed_fds_;      ///< marked closed, not yet reaped
+  std::size_t blocked_sessions_ = 0;  ///< sessions with `blocked` set
   std::vector<Tail> tails_;
 
   mutable std::mutex jobs_mu_;  ///< guards the jobs_ map + fleet_next_base_
@@ -307,17 +320,19 @@ class Daemon {
   std::uint64_t fleet_next_base_ = 0;
   std::atomic<std::size_t> n_jobs_{0};
 
-  std::unique_ptr<WorkerPool> pool_;  ///< null in serial mode (workers == 0)
+  std::unique_ptr<WorkerPool> pool_;  ///< null in serial mode (workers <= 0)
+  /// Serial mode: jobs scheduled by enqueue(), applied by apply_serial().
+  std::vector<Job*> serial_due_;
 
-  std::mutex fleet_mu_;  ///< guards fleet_, fleet_out_, fleet_live_
+  std::mutex fleet_mu_;  ///< guards fleet_, fleet_out_, fleet_live_*
   live::JobMerger fleet_;
   std::ofstream fleet_out_;
-  std::set<int> fleet_live_;  ///< composite ranks seen, not finalized
-  /// Cached copy of fleet_live_ for emit_due; rebuilt only when the set
-  /// changes (copying tens of thousands of set nodes per emission check
-  /// would dwarf the emission itself).
-  std::vector<int> fleet_live_vec_;
-  bool fleet_live_dirty_ = false;
+  /// Composite ranks seen and not finalized, in no particular order:
+  /// emit_due reads the vector as it is, so an emission check never copies
+  /// tens of thousands of ranks.  fleet_live_pos_ holds each rank's slot,
+  /// so a finalized rank leaves by swapping in the last one.
+  std::vector<int> fleet_live_;
+  std::unordered_map<int, std::size_t> fleet_live_pos_;
   bool fleet_any_ = false;    ///< any rank ever seen
 
   std::atomic<int> jobs_ended_{0};

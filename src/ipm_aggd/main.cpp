@@ -30,7 +30,8 @@ int usage(const char* argv0, int code) {
       "                          (file-transport fallback; repeatable)\n"
       "  --fleet-interval <s>    fleet-wide merge interval (default 1.0)\n"
       "  --exit-after-jobs <n>   exit once n jobs completed\n"
-      "  --workers <n>           worker threads (-1 auto, 0 serial)\n"
+      "  --workers <n>           worker threads (default serial; n > 0\n"
+      "                          starts a pool of n)\n"
       "  --spill-idle-ms <ms>    spill idle job state to disk (0 = never)\n"
       "  --stall-ms <ms>         disconnect clients stalled this long\n"
       "  --outbuf-max <bytes>    per-session outbound buffer bound\n"

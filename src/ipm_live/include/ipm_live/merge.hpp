@@ -13,6 +13,7 @@
 // different virtual speeds.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -108,6 +109,9 @@ class JobMerger {
   std::map<std::uint64_t, Bucket> buckets_;
   std::map<int, double> watermark_;  ///< rank -> latest published t1
   std::uint64_t next_emit_ = 0;
+  /// Slot of live_ranks where the last emit_due() stopped; only a hint of
+  /// where to look first, so it is neither serialized nor checked.
+  std::size_t stop_hint_ = 0;
   std::uint64_t intervals_emitted_ = 0;
   MergeTotals totals_;
   ClusterPoint last_;

@@ -134,10 +134,24 @@ void JobMerger::emit_due(const std::vector<int>& live_ranks, int ranks_live,
     emit_all(ranks_live, out);
     return;
   }
+  // Nothing closes while any live rank is short of the next boundary, so
+  // stop at the first such rank.  The scan starts at the slot where the
+  // last one stopped: the rank that held emission back then, or one near
+  // it, usually still does.  With a fleet of live ranks, most checks end
+  // after a few lookups instead of scanning every watermark.
+  const double next_end = static_cast<double>(next_emit_ + 1) * interval_;
+  const std::size_t n = live_ranks.size();
+  const std::size_t start = stop_hint_ < n ? stop_hint_ : 0;
   double min_wm = std::numeric_limits<double>::infinity();
-  for (const int rank : live_ranks) {
-    const auto it = watermark_.find(rank);
-    min_wm = std::min(min_wm, it == watermark_.end() ? 0.0 : it->second);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i = start + j < n ? start + j : start + j - n;
+    const auto it = watermark_.find(live_ranks[i]);
+    const double wm = it == watermark_.end() ? 0.0 : it->second;
+    if (wm < next_end) {
+      stop_hint_ = i;
+      return;
+    }
+    min_wm = std::min(min_wm, wm);
   }
   while (static_cast<double>(next_emit_ + 1) * interval_ <= min_wm) {
     out.push_back(emit_point(next_emit_, ranks_live));

@@ -13,8 +13,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -28,6 +30,7 @@
 #include "ipm/report.hpp"
 #include "ipm_aggd/aggd.hpp"
 #include "ipm_live/live.hpp"
+#include "ipm_live/merge.hpp"
 #include "ipm_live/net.hpp"
 #include "ipm_live/wire.hpp"
 #include "mpisim/cluster.hpp"
@@ -475,6 +478,284 @@ TEST(Aggd, TwoConcurrentJobsStaySeparate) {
             std::string::npos);
   EXPECT_NE(prom.find("ipm_agg_rank_drops_total{job=\"beta\",rank=\"0\"} 1"),
             std::string::npos);
+}
+
+/// With default Options the daemon runs serial on any host, and says so in
+/// its exposition.  Serial mode applies a session read per job, after
+/// routing all of its frames; for a client write carrying a whole job
+/// (HELLO, k SAMPLEs, RANK_FIN, JOB_END) the replies still come back in
+/// frame order: WELCOME, k+1 ACKs with increasing epochs, JOB_END_ACK.
+TEST(Aggd, DefaultIsSerialAndRepliesInFrameOrder) {
+  const std::string dir = test_dir("aggd_serial_order");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+  EXPECT_EQ(runner.d.workers(), 0u);
+  EXPECT_NE(slurp(runner.d.prom_path()).find("\nipm_agg_workers 0\n"),
+            std::string::npos);
+
+  constexpr std::uint64_t kSamples = 12;
+  std::string write = frame_bytes(FrameType::kHello, "order", 0, 0,
+                                  ipm::live::wire::hello_payload("./order", 0.5));
+  for (std::uint64_t i = 0; i < kSamples; ++i) {
+    const double t0 = 0.5 * static_cast<double>(i);
+    write += sample_bytes("order", make_sample(0, i, t0, t0 + 0.5, "MPI_Send",
+                                               i + 1, 8 * (i + 1), 0.125));
+  }
+  write += frame_bytes(FrameType::kRankFin, "order", 0, kSamples + 1,
+                       R"({"samples":12,"drops":0})");
+  write += frame_bytes(FrameType::kJobEnd, "order", 0, 0, "");
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  send_all(fd, write);
+
+  Decoder dec;
+  Frame f;
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  EXPECT_EQ(f.type, FrameType::kWelcome);
+  for (std::uint64_t epoch = 1; epoch <= kSamples + 1; ++epoch) {
+    ASSERT_TRUE(read_frame(fd, dec, f)) << epoch;
+    EXPECT_EQ(f.type, FrameType::kAck) << epoch;
+    EXPECT_EQ(f.epoch, epoch);
+  }
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  EXPECT_EQ(f.type, FrameType::kJobEndAck);
+  runner.d.stop();
+  runner.join();
+  ipm::live::net::close_fd(fd);
+
+  EXPECT_EQ(runner.d.workers(), 0u);
+  EXPECT_EQ(runner.d.steals(), 0u);
+  const auto* ranks = runner.d.job_ranks("order");
+  ASSERT_NE(ranks, nullptr);
+  EXPECT_EQ(ranks->at(0).samples, kSamples);
+  EXPECT_EQ(ipm::live::read_timeseries_file(runner.d.job_timeseries_path("order"))
+                .samples.size(),
+            kSamples);
+}
+
+/// Prometheus label escaping as the daemon applied it per line.
+std::string printf_prom_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '\\' || c == '"') out += '\\';
+    if (c == '\n') {
+      out += "\\n";
+      continue;
+    }
+    out += c;
+  }
+  return out;
+}
+
+struct PrintfJob {
+  std::string id;
+  std::vector<ipm::live::PromItem> items;
+  std::map<std::uint32_t, ipm::aggd::RankState> ranks;
+};
+
+/// The exposition rendered the way the daemon wrote it with an ostream,
+/// snprintf("%.17g") for every double and prom_escape on every line.  The
+/// daemon's health counters are all zero here except the ones passed in.
+std::string printf_exposition(const std::vector<PrintfJob>& jobs, int ended) {
+  std::ostringstream os;
+  char buf[64];
+  const auto num = [&buf](double v) -> const char* {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+  };
+  os << "# HELP ipm_agg_jobs Jobs known to the aggregation daemon.\n"
+        "# TYPE ipm_agg_jobs gauge\n"
+     << "ipm_agg_jobs " << jobs.size() << '\n';
+  os << "# HELP ipm_agg_jobs_ended Jobs that completed their stream.\n"
+        "# TYPE ipm_agg_jobs_ended gauge\n"
+     << "ipm_agg_jobs_ended " << ended << '\n';
+  os << "# HELP ipm_agg_connections Open client connections.\n"
+        "# TYPE ipm_agg_connections gauge\n"
+     << "ipm_agg_connections " << 0 << '\n';
+  os << "# HELP ipm_agg_protocol_errors_total Rejected frames/streams.\n"
+        "# TYPE ipm_agg_protocol_errors_total counter\n"
+     << "ipm_agg_protocol_errors_total " << 0 << '\n';
+  if (!jobs.empty()) {
+    for (std::size_t i = 0; i < jobs.front().items.size(); ++i) {
+      const ipm::live::PromItem& proto = jobs.front().items[i];
+      os << "# HELP " << proto.name << ' ' << proto.help << "\n# TYPE "
+         << proto.name << (proto.counter ? " counter\n" : " gauge\n");
+      for (const PrintfJob& j : jobs) {
+        os << proto.name << "{job=\"" << printf_prom_escape(j.id) << "\"} "
+           << num(j.items[i].value) << '\n';
+      }
+    }
+  }
+  struct RankMetric {
+    const char* name;
+    const char* help;
+    bool counter;
+    std::uint64_t ipm::aggd::RankState::*field;
+  };
+  static constexpr RankMetric kRankMetrics[] = {
+      {"ipm_agg_rank_samples_total", "Sample frames applied per rank.", true,
+       &ipm::aggd::RankState::samples},
+      {"ipm_agg_rank_epoch", "Last applied frame epoch per rank.", false,
+       &ipm::aggd::RankState::last_epoch},
+      {"ipm_agg_rank_resent_total", "Duplicate frames deduplicated on resume.",
+       true, &ipm::aggd::RankState::resent},
+      {"ipm_agg_rank_drops_total",
+       "Client-side snapshot drops reported at finalize.", true,
+       &ipm::aggd::RankState::drops},
+  };
+  for (const RankMetric& m : kRankMetrics) {
+    os << "# HELP " << m.name << ' ' << m.help << "\n# TYPE " << m.name
+       << (m.counter ? " counter\n" : " gauge\n");
+    for (const PrintfJob& j : jobs) {
+      for (const auto& [rank, rs] : j.ranks) {
+        os << m.name << "{job=\"" << printf_prom_escape(j.id) << "\",rank=\""
+           << rank << "\"} " << rs.*m.field << '\n';
+      }
+    }
+  }
+  os << "# HELP ipm_agg_stalled_disconnects_total Sessions dropped for "
+        "blowing the outbound stall budget.\n"
+        "# TYPE ipm_agg_stalled_disconnects_total counter\n"
+     << "ipm_agg_stalled_disconnects_total " << 0 << '\n';
+  os << "# HELP ipm_agg_spills_total Idle jobs spilled to disk.\n"
+        "# TYPE ipm_agg_spills_total counter\n"
+     << "ipm_agg_spills_total " << 0 << '\n';
+  os << "# HELP ipm_agg_rehydrations_total Spilled jobs restored on new "
+        "traffic.\n"
+        "# TYPE ipm_agg_rehydrations_total counter\n"
+     << "ipm_agg_rehydrations_total " << 0 << '\n';
+  os << "# HELP ipm_agg_worker_steals_total Batches run off their home "
+        "worker.\n"
+        "# TYPE ipm_agg_worker_steals_total counter\n"
+     << "ipm_agg_worker_steals_total " << 0 << '\n';
+  os << "# HELP ipm_agg_workers Worker threads (0 = serial mode).\n"
+        "# TYPE ipm_agg_workers gauge\n"
+     << "ipm_agg_workers " << 0 << '\n';
+  return os.str();
+}
+
+/// ipm_agg.prom is byte-identical to the ostream + snprintf("%.17g")
+/// rendering of the same state, for doubles printf renders in every form
+/// (subnormal, exponent, 15-22 digit integers, DBL_MAX, negative) and job
+/// ids that need label escaping.  The expected per-job values come from a
+/// JobMerger fed the same samples, the rank counters from what was sent.
+TEST(Aggd, ExpositionMatchesPrintfRendering) {
+  const std::string dir = test_dir("aggd_prom_bytes");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  opt.prom_interval_ms = 0;  // rewrite on every change, to see the reap
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> awkward = {
+      kTiny,    0x1p-1030, -2.5e-310, 1e15,   999999999999999.9,
+      1e16 + 2, 1e21,      1e22,      -0.1,   123456789012345678.0,
+      1.0 / 3,  -1e300,    kMax,      6.02214076e23,
+      -7.0,     123456789012345.0, 0.0, 4503599627370497.0};
+  const std::vector<std::string> ids = {"plain-job", "quo\"te", "back\\slash",
+                                        "new\nline"};
+  const std::vector<std::string> names = {"MPI_Allreduce", "cudaMemcpy",
+                                          "cublasDgemm", "cufftExecZ2Z",
+                                          "@CUDA_HOST_IDLE"};
+  constexpr int kRanks = 2;
+  constexpr std::uint64_t kSeqs = 4;
+  std::map<std::string, PrintfJob> expect;
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  Decoder dec;
+  Frame f;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const std::string& id = ids[j];
+    PrintfJob& pj = expect[id];
+    pj.id = id;
+    ipm::live::JobMerger replica(0.5);
+    std::string write = frame_bytes(FrameType::kHello, id, 0, 0,
+                                    ipm::live::wire::hello_payload("./app", 0.5));
+    // Ranks interleave by seq, so both are known before any interval with
+    // a sample in it can close.
+    for (std::uint64_t seq = 0; seq < kSeqs; ++seq) {
+      for (int rank = 0; rank < kRanks; ++rank) {
+        ipm::live::Sample s;
+        s.rank = rank;
+        s.seq = seq;
+        s.t0 = 0.5 * static_cast<double>(seq);
+        s.t1 = s.t0 + 0.5;
+        // One value per (job, field), so each total and last-interval
+        // gauge is a small multiple of it: subnormals stay subnormal,
+        // DBL_MAX overflows to inf.
+        s.ddev_flops = awkward[(2 * j) % awkward.size()];
+        s.ddev_bytes = awkward[(2 * j + 1) % awkward.size()];
+        for (std::size_t n = 0; n < names.size(); ++n) {
+          ipm::live::KeyDelta d;
+          d.name_str = names[n];
+          d.dcount = 1 + seq;
+          d.dbytes = 1ull << (40 + seq);
+          d.dtsum = awkward[(j * names.size() + n) % awkward.size()];
+          d.dflops = n == 2 ? awkward[(j + 5) % awkward.size()] : 0.0;
+          s.deltas.push_back(d);
+        }
+        const std::string line = ipm::live::sample_line(s);
+        ipm::live::Sample applied;
+        ASSERT_TRUE(ipm::live::parse_sample_line(line, applied));
+        replica.add_sample(applied);
+        write += sample_bytes(id, s);
+      }
+    }
+    for (int rank = 0; rank < kRanks; ++rank) {
+      const std::uint64_t drops =
+          rank == 0 ? std::numeric_limits<std::uint64_t>::max() : j;
+      write += frame_bytes(FrameType::kRankFin, id, static_cast<std::uint32_t>(rank),
+                           kSeqs + 1,
+                           "{\"samples\":4,\"drops\":" + std::to_string(drops) + "}");
+      replica.finalize_rank(rank);
+      ipm::aggd::RankState& rs = pj.ranks[static_cast<std::uint32_t>(rank)];
+      rs.samples = kSeqs;
+      rs.last_epoch = kSeqs + 1;
+      rs.drops = drops;
+    }
+    write += frame_bytes(FrameType::kJobEnd, id, 0, 0, "");
+    send_all(fd, write);
+    bool ended = false;
+    while (!ended && read_frame(fd, dec, f)) {
+      ended = f.type == FrameType::kJobEndAck;
+    }
+    ASSERT_TRUE(ended) << id;
+    std::vector<ipm::live::ClusterPoint> pts;
+    replica.emit_all(kRanks, pts);
+    pj.items = ipm::live::prom_items(replica, kRanks, /*up=*/false);
+  }
+  ipm::live::net::close_fd(fd);
+  // Wait until the daemon reaped the session, so the exposition counts no
+  // open connection.
+  bool reaped = false;
+  for (int i = 0; i < 1000 && !reaped; ++i) {
+    reaped = slurp(runner.d.prom_path()).find("\nipm_agg_connections 0\n") !=
+             std::string::npos;
+    if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(reaped);
+  runner.d.stop();
+  runner.join();
+
+  std::vector<PrintfJob> jobs;
+  for (const auto& [id, pj] : expect) jobs.push_back(pj);
+  const std::string want = printf_exposition(jobs, static_cast<int>(ids.size()));
+  const std::string got = slurp(runner.d.prom_path());
+  EXPECT_EQ(got, want);
+  // The awkward forms are really in the file: exponent, subnormal, DBL_MAX.
+  EXPECT_NE(got.find("e-"), std::string::npos);
+  EXPECT_NE(got.find("e+"), std::string::npos);
+  EXPECT_NE(got.find("job=\"quo\\\"te\""), std::string::npos);
+  EXPECT_NE(got.find("job=\"new\\nline\""), std::string::npos);
+  EXPECT_NE(got.find("job=\"back\\\\slash\""), std::string::npos);
 }
 
 }  // namespace

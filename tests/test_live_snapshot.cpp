@@ -9,10 +9,12 @@
 // successful capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -582,6 +584,100 @@ TEST(LiveSnapshot, SparklineScalesToPeak) {
   EXPECT_EQ(line.front(), ' ');   // zero
   EXPECT_EQ(line.back(), '@');    // peak
   EXPECT_EQ(ipm::live::sparkline({0.0, 0.0}), "  ");  // all-zero series
+}
+
+/// JobMerger::emit_due stops at the first live rank short of the next
+/// interval boundary.  It must emit exactly the intervals a scan of every
+/// live watermark closes, which the test works out from the watermarks it
+/// fed, and leave the cursor after the last of them.  A twin fed the same
+/// samples, asked with only the live rank holding the minimum watermark,
+/// gives the expected point contents.  Watermarks land on interval
+/// boundaries half the time, so ties with the boundary are hit, and the
+/// live lists name ranks that never published (watermark 0).
+TEST(LiveSnapshot, EmitDueEarlyExitMatchesFullScan) {
+  simx::Xoshiro256 rng(0x5eed2026);
+  std::uint64_t emitted = 0;
+  std::uint64_t held = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const double interval = 0.25 * static_cast<double>(1 + rng.uniform_u64(4));
+    ipm::live::JobMerger merger(interval);
+    ipm::live::JobMerger twin(interval);
+    const int nranks = 1 + static_cast<int>(rng.uniform_u64(12));
+    std::map<int, double> wm;  // rank -> largest t1 fed since its finalize
+    std::uint64_t cursor = 0;  // next interval the full scan would emit
+    std::uint64_t seq = 0;
+    for (int step = 0; step < 40; ++step) {
+      const std::uint64_t n = rng.uniform_u64(2 * static_cast<std::uint64_t>(nranks));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        ipm::live::Sample s;
+        s.rank = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(nranks)));
+        s.seq = seq++;
+        const auto it = wm.find(s.rank);
+        s.t0 = it == wm.end() ? 0.0 : it->second;
+        s.t1 = rng.uniform() < 0.5
+                   ? s.t0 + interval * static_cast<double>(rng.uniform_u64(3))
+                   : s.t0 + rng.uniform(0.0, 2.0 * interval);
+        ipm::live::KeyDelta d;
+        d.name_str = "MPI_Send";
+        d.dcount = 1;
+        d.dbytes = 8;
+        d.dtsum = rng.uniform();
+        s.deltas.push_back(d);
+        merger.add_sample(s);
+        twin.add_sample(s);
+        double& w = wm.try_emplace(s.rank, s.t1).first->second;
+        w = std::max(w, s.t1);
+      }
+      // Live ranks in random order; ranks >= nranks never publish.
+      std::vector<int> live;
+      for (int r = 0; r < nranks + 2; ++r) {
+        if (rng.uniform() < 0.8) live.push_back(r);
+      }
+      for (std::size_t i = live.size(); i > 1; --i) {
+        std::swap(live[i - 1], live[rng.uniform_u64(i)]);
+      }
+      if (live.empty()) continue;  // an empty list means emit_all()
+      int argmin = live.front();
+      double min_wm = std::numeric_limits<double>::infinity();
+      for (const int r : live) {
+        const auto it = wm.find(r);
+        const double w = it == wm.end() ? 0.0 : it->second;
+        if (w < min_wm) {
+          min_wm = w;
+          argmin = r;
+        }
+      }
+      const std::uint64_t first = cursor;
+      while (static_cast<double>(cursor + 1) * interval <= min_wm) cursor += 1;
+      std::vector<ipm::live::ClusterPoint> got;
+      std::vector<ipm::live::ClusterPoint> want;
+      merger.emit_due(live, nranks, got);
+      twin.emit_due({argmin}, nranks, want);
+      ASSERT_EQ(got.size(), cursor - first) << "trial " << trial << " step " << step;
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].k, first + i);
+        EXPECT_EQ(ipm::live::point_line(got[i]), ipm::live::point_line(want[i]));
+      }
+      ASSERT_EQ(merger.emitted_virtual_seconds(),
+                static_cast<double>(cursor) * interval);
+      ASSERT_EQ(merger.intervals_emitted(), twin.intervals_emitted());
+      if (got.empty()) {
+        held += 1;
+      } else {
+        emitted += got.size();
+      }
+      if (rng.uniform() < 0.1) {
+        const int r = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(nranks)));
+        merger.finalize_rank(r);
+        twin.finalize_rank(r);
+        wm.erase(r);
+      }
+    }
+  }
+  // Both outcomes were exercised many times.
+  EXPECT_GT(emitted, 1000u);
+  EXPECT_GT(held, 1000u);
 }
 
 }  // namespace
